@@ -65,13 +65,16 @@ bench-check:
 		BENCH_vgraph.json=BENCH_vgraph.ci.json \
 		BENCH_strsim.json=BENCH_strsim.ci.json
 
-# Alloc-regression smoke: the gate test asserts steady-state greedy rounds
-# perform zero heap allocations (pooled grower + caller-owned buffer), and
-# the one-iteration -benchmem runs surface the allocs/op of the other hot
-# paths for eyeballing in CI logs.
+# Alloc-regression smoke: the gate tests assert steady-state greedy rounds
+# perform zero heap allocations (pooled grower + caller-owned buffer) and
+# nearest-target searches allocate only the returned target (pooled memo,
+# frontier and scorer), and the one-iteration -benchmem runs surface the
+# allocs/op of the hot paths for eyeballing in CI logs.
 alloc-smoke:
 	go test -run 'TestGreedyGrowthSteadyStateAllocs' ./internal/repair/
+	go test -run 'TestNearestSteadyStateAllocs' ./internal/targettree/
 	go test -run '^$$' -bench 'BenchmarkGreedyGrowth' -benchtime=1x -benchmem ./internal/repair/
+	go test -run '^$$' -bench 'BenchmarkNearest$$' -benchtime=1x -benchmem ./internal/targettree/
 	go test -run '^$$' -bench 'BenchmarkGraphBuildWorkers' -benchtime=1x -benchmem .
 
 experiments:

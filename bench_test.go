@@ -398,16 +398,18 @@ func BenchmarkTargetTreeSearch(b *testing.B) {
 			{"New York", "NY"}, {"Boston", "MA"},
 		}},
 	}
-	tr, err := targettree.Build(levels)
+	dirty, _ := gen.Citizens()
+	cfg := fd.DefaultDistConfig(dirty)
+	tr, err := targettree.Build(levels, targettree.Domain{Schema: cfg.Schema, Dicts: cfg.Dicts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dirty, _ := gen.Citizens()
-	cfg := fd.DefaultDistConfig(dirty)
 	t4 := dirty.Tuples[3]
 	b.Run("Nearest", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.Nearest(t4, cfg.AttrDist, nil)
+			rs := cfg.AcquireRepairScorer(t4)
+			tr.Nearest(rs, nil)
+			rs.Release()
 		}
 	})
 	b.Run("NearestScan", func(b *testing.B) {

@@ -216,15 +216,32 @@ func (cfg *DistConfig) attrDist(col int, a, b string, mt *strsim.Matcher) float6
 // exact expression NormalizedEdit/NormalizedOSA evaluate — so a plane hit
 // is bitwise equal to recomputation.
 func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *strsim.Matcher) float64 {
-	m := p.dict.RuneLen(ca)
-	if l := p.dict.RuneLen(cb); l > m {
-		m = l
-	}
-	if v := p.load(ca, cb); v&planeExactBit != 0 {
+	if d, ok := p.exact(ca, cb); ok {
 		cfg.Cache.planeHits.Add(1)
-		return float64(v&^planeExactBit) / float64(m)
+		return d
 	}
 	cfg.Cache.planeMisses.Add(1)
+	return cfg.planeFill(p, ca, cb, a, b, mt)
+}
+
+// exact returns the pair's normalized distance when its cell holds the
+// exact integer distance.
+func (p *distPlane) exact(ca, cb int32) (float64, bool) {
+	v := p.load(ca, cb)
+	if v&planeExactBit == 0 {
+		return 0, false
+	}
+	return float64(v&^planeExactBit) / float64(p.normLen(ca, cb)), true
+}
+
+// normLen is the pair's normalization denominator: the longer rune length.
+func (p *distPlane) normLen(ca, cb int32) int {
+	return max(p.dict.RuneLen(ca), p.dict.RuneLen(cb))
+}
+
+// planeFill computes a plane miss — with a's prebuilt matcher when mt is
+// set — stores the exact distance and returns it normalized.
+func (cfg *DistConfig) planeFill(p *distPlane, ca, cb int32, a, b string, mt *strsim.Matcher) float64 {
 	var k int
 	switch {
 	case mt != nil:
@@ -235,7 +252,7 @@ func (cfg *DistConfig) planeDist(p *distPlane, ca, cb int32, a, b string, mt *st
 		k = strsim.Levenshtein(a, b)
 	}
 	p.storeExact(ca, cb, k)
-	return float64(k) / float64(m)
+	return float64(k) / float64(p.normLen(ca, cb))
 }
 
 // stringDist is StringDist with an optional prebuilt matcher for a
@@ -396,11 +413,8 @@ func (cfg *DistConfig) planeDistWithin(p *distPlane, ca, cb int32, a, b string, 
 	if t < 0 {
 		return 0, false
 	}
-	m := p.dict.RuneLen(ca)
-	if l := p.dict.RuneLen(cb); l > m {
-		m = l
-	}
 	// a != b and both interned, so m >= 1.
+	m := p.normLen(ca, cb)
 	maxDist := int(t * float64(m))
 	v := p.load(ca, cb)
 	if v&planeExactBit != 0 {

@@ -170,7 +170,7 @@ func (c *incComponent) nearestTarget(set *fd.Set, cfg *fd.DistConfig, t dataset.
 		return c.nearestSingle(set, cfg, t)
 	}
 	if c.treeDirty {
-		tree, err := c.buildTree(set)
+		tree, err := c.buildTree(set, cfg)
 		if err != nil {
 			return targettree.Target{}, err
 		}
@@ -178,7 +178,7 @@ func (c *incComponent) nearestTarget(set *fd.Set, cfg *fd.DistConfig, t dataset.
 		c.treeDirty = false
 	}
 	rs := cfg.AcquireRepairScorer(t)
-	tg, _, _ := c.tree.Nearest(t, rs.RepairDist, nil)
+	tg, _, _ := c.tree.Nearest(rs, nil)
 	rs.Release()
 	return tg, nil
 }
@@ -189,7 +189,7 @@ func (c *incComponent) nearestTarget(set *fd.Set, cfg *fd.DistConfig, t dataset.
 // from the earlier-accepted one.
 func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.Tuple) (targettree.Target, error) {
 	if len(c.patterns[0])-c.treeBuilt > incFreshFold {
-		tree, err := c.buildTree(set)
+		tree, err := c.buildTree(set, cfg)
 		if err != nil {
 			return targettree.Target{}, err
 		}
@@ -203,7 +203,7 @@ func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.
 	var best targettree.Target
 	bestDist := -1.0
 	if c.treeBuilt > 0 {
-		tg, d, _ := c.tree.Nearest(t, rs.RepairDist, nil)
+		tg, d, _ := c.tree.Nearest(rs, nil)
 		best, bestDist = tg, d
 	}
 	for _, p := range c.patterns[0][c.treeBuilt:] {
@@ -219,7 +219,7 @@ func (c *incComponent) nearestSingle(set *fd.Set, cfg *fd.DistConfig, t dataset.
 	return best, nil
 }
 
-func (c *incComponent) buildTree(set *fd.Set) (*targettree.Tree, error) {
+func (c *incComponent) buildTree(set *fd.Set, cfg *fd.DistConfig) (*targettree.Tree, error) {
 	c.treeBuilds++
 	levels := make([]targettree.Level, len(c.fdIdx))
 	for f, i := range c.fdIdx {
@@ -230,7 +230,7 @@ func (c *incComponent) buildTree(set *fd.Set) (*targettree.Tree, error) {
 		}
 		levels[f] = l
 	}
-	return targettree.Build(levels)
+	return targettree.Build(levels, treeDomain(cfg))
 }
 
 // Relation returns the maintained relation (base plus accepted tuples).

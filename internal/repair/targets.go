@@ -204,7 +204,7 @@ type groupResult struct {
 // as cheap as the final incumbent is never aborted. A fired cancel channel
 // also stops evaluation with ok=false.
 func (p *planner) costs(chosen []bitset.Set, levels []targettree.Level, abortAbove func() float64) (targets []*targettree.Target, cost float64, visited int, ok bool) {
-	tree, err := targettree.Build(levels)
+	tree, err := targettree.Build(levels, treeDomain(p.cfg))
 	if err != nil {
 		return nil, 0, 0, false
 	}
@@ -295,16 +295,23 @@ func (p *planner) costsParallel(tree *targettree.Tree, targets []*targettree.Tar
 	return targets, cost, visited, true
 }
 
+// treeDomain resolves target-tree values against cfg's column
+// dictionaries and numeric columns, for scoring by cfg's RepairScorer.
+func treeDomain(cfg *fd.DistConfig) targettree.Domain {
+	return targettree.Domain{Schema: cfg.Schema, Dicts: cfg.Dicts}
+}
+
 // nearest runs one group's target search through the configured strategy.
 // The group's representative is held fixed in a RepairScorer so its
-// bit-parallel tables are shared across every candidate the search visits.
+// bit-parallel tables and resolved codes are shared across every candidate
+// the search visits.
 func (p *planner) nearest(tree *targettree.Tree, rep dataset.Tuple) groupResult {
 	var r groupResult
 	rs := p.cfg.AcquireRepairScorer(rep)
 	if p.disableTree {
 		r.tg, r.cost, r.visited = tree.NearestScan(rep, rs.RepairDist, p.cancel)
 	} else {
-		r.tg, r.cost, r.visited = tree.Nearest(rep, rs.RepairDist, p.cancel)
+		r.tg, r.cost, r.visited = tree.Nearest(rs, p.cancel)
 	}
 	rs.Release()
 	return r

@@ -1,0 +1,9 @@
+//go:build race
+
+package targettree_test
+
+// raceEnabled reports whether the race detector instruments this build.
+// Race mode adds bookkeeping allocations and intentionally drops
+// sync.Pool items to shake out misuse, so allocation-count assertions
+// are meaningless under it.
+const raceEnabled = true

@@ -36,6 +36,17 @@ func paperLevels() []targettree.Level {
 	}
 }
 
+// funcScorer adapts a query tuple and a plain distance function to
+// targettree.Scorer, ignoring the codes and parsed numbers Build resolved.
+type funcScorer struct {
+	t    dataset.Tuple
+	dist targettree.DistFunc
+}
+
+func (s *funcScorer) TargetDist(col int, v string, _ int32, _ float64, _ bool) float64 {
+	return s.dist(col, s.t[col], v)
+}
+
 func citizensDist() targettree.DistFunc {
 	dirty, _ := gen.Citizens()
 	cfg := fd.DefaultDistConfig(dirty)
@@ -43,7 +54,7 @@ func citizensDist() targettree.DistFunc {
 }
 
 func TestBuildPaperTree(t *testing.T) {
-	tr, err := targettree.Build(paperLevels())
+	tr, err := targettree.Build(paperLevels(), targettree.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +88,14 @@ func TestBuildPaperTree(t *testing.T) {
 func TestNearestExample14(t *testing.T) {
 	// Example 14: tuple t4 = (New York, Western, Queens, MA) resolves to
 	// (New York, Western, Queens, NY): only State changes.
-	tr, err := targettree.Build(paperLevels())
+	tr, err := targettree.Build(paperLevels(), targettree.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dirty, _ := gen.Citizens()
 	dist := citizensDist()
 	t4 := dirty.Tuples[3]
-	tg, cost, visited := tr.Nearest(t4, dist, nil)
+	tg, cost, visited := tr.Nearest(&funcScorer{t4, dist}, nil)
 	if tg.Vals[0] != "New York" || tg.Vals[1] != "Western" || tg.Vals[2] != "Queens" || tg.Vals[3] != "NY" {
 		t.Fatalf("nearest = %v", tg.Vals)
 	}
@@ -98,7 +109,7 @@ func TestNearestExample14(t *testing.T) {
 	// t5 = (Boston, Main, Manhattan, NY) resolves to the Manhattan target:
 	// repairing City is cheapest and fixes both FDs (Example 3).
 	t5 := dirty.Tuples[4]
-	tg5, _, _ := tr.Nearest(t5, dist, nil)
+	tg5, _, _ := tr.Nearest(&funcScorer{t5, dist}, nil)
 	if tg5.Vals[0] != "New York" || tg5.Vals[2] != "Manhattan" {
 		t.Fatalf("t5 nearest = %v", tg5.Vals)
 	}
@@ -145,7 +156,7 @@ func TestNearestMatchesScan(t *testing.T) {
 			mk([]int{1, 2}, 5),
 			mk([]int{2, 3}, 4),
 		}
-		tr, err := targettree.Build(levels)
+		tr, err := targettree.Build(levels, targettree.Domain{})
 		if err != nil {
 			continue // empty join is a legal outcome of random inputs
 		}
@@ -153,7 +164,7 @@ func TestNearestMatchesScan(t *testing.T) {
 			vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))],
 			vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))],
 		}
-		tgFast, costFast, visitedFast := tr.Nearest(tuple, dist, nil)
+		tgFast, costFast, visitedFast := tr.Nearest(&funcScorer{tuple, dist}, nil)
 		tgSlow, costSlow, scanned := tr.NearestScan(tuple, dist, nil)
 		if math.Abs(costFast-costSlow) > 1e-9 {
 			t.Fatalf("trial %d: Nearest = %v (%v), scan = %v (%v)", trial, costFast, tgFast.Vals, costSlow, tgSlow.Vals)
@@ -165,20 +176,20 @@ func TestNearestMatchesScan(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := targettree.Build(nil); err == nil {
+	if _, err := targettree.Build(nil, targettree.Domain{}); err == nil {
 		t.Fatal("no levels accepted")
 	}
-	if _, err := targettree.Build([]targettree.Level{{Attrs: nil}}); err == nil {
+	if _, err := targettree.Build([]targettree.Level{{Attrs: nil}}, targettree.Domain{}); err == nil {
 		t.Fatal("empty attrs accepted")
 	}
-	if _, err := targettree.Build([]targettree.Level{{Attrs: []int{0}, Patterns: [][]string{{"a", "b"}}}}); err == nil {
+	if _, err := targettree.Build([]targettree.Level{{Attrs: []int{0}, Patterns: [][]string{{"a", "b"}}}}, targettree.Domain{}); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
 	// Incompatible levels: shared column with disjoint values.
 	_, err := targettree.Build([]targettree.Level{
 		{Attrs: []int{0}, Patterns: [][]string{{"x"}}},
 		{Attrs: []int{0, 1}, Patterns: [][]string{{"y", "z"}}},
-	})
+	}, targettree.Domain{})
 	if err == nil {
 		t.Fatal("empty join accepted")
 	}
@@ -192,7 +203,7 @@ func TestDeadBranchPruned(t *testing.T) {
 		{Attrs: []int{0, 1}, Patterns: [][]string{{"a", "1"}, {"b", "2"}}},
 		{Attrs: []int{1, 2}, Patterns: [][]string{{"1", "x"}}},
 	}
-	tr, err := targettree.Build(levels)
+	tr, err := targettree.Build(levels, targettree.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +221,7 @@ func TestDeadBranchPruned(t *testing.T) {
 		}
 		return 1
 	}
-	_, cost, _ := tr.Nearest(dataset.Tuple{"a", "1", "x"}, dist, nil)
+	_, cost, _ := tr.Nearest(&funcScorer{dataset.Tuple{"a", "1", "x"}, dist}, nil)
 	if cost != 0 {
 		t.Fatalf("cost = %v", cost)
 	}
@@ -220,7 +231,7 @@ func TestSingleLevelTree(t *testing.T) {
 	levels := []targettree.Level{
 		{Attrs: []int{2, 5}, Patterns: [][]string{{"p", "q"}, {"r", "s"}}},
 	}
-	tr, err := targettree.Build(levels)
+	tr, err := targettree.Build(levels, targettree.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +244,14 @@ func TestSingleLevelTree(t *testing.T) {
 		}
 		return 1
 	}
-	tg, cost, _ := tr.Nearest(dataset.Tuple{"", "", "r", "", "", "zzz"}, dist, nil)
+	tg, cost, _ := tr.Nearest(&funcScorer{dataset.Tuple{"", "", "r", "", "", "zzz"}, dist}, nil)
 	if tg.Vals[0] != "r" || cost != 1 {
 		t.Fatalf("nearest = %v cost %v", tg.Vals, cost)
 	}
 }
 
 func TestNearestCanceled(t *testing.T) {
-	tr, err := targettree.Build(paperLevels())
+	tr, err := targettree.Build(paperLevels(), targettree.Domain{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +261,7 @@ func TestNearestCanceled(t *testing.T) {
 	close(cancel)
 	// A fired channel stops the search before any node is dequeued, so no
 	// incumbent exists and the cost is +Inf.
-	if _, cost, _ := tr.Nearest(dirty.Tuples[3], dist, cancel); !math.IsInf(cost, 1) {
+	if _, cost, _ := tr.Nearest(&funcScorer{dirty.Tuples[3], dist}, cancel); !math.IsInf(cost, 1) {
 		t.Fatalf("canceled Nearest returned cost %v, want +Inf", cost)
 	}
 	if _, cost, _ := tr.NearestScan(dirty.Tuples[3], dist, cancel); !math.IsInf(cost, 1) {
