@@ -344,17 +344,13 @@ func RepairCFD(rel *Relation, c *CFD, cfg *DistConfig, tau float64, algo Algorit
 	if err != nil {
 		return nil, err
 	}
-	stats := res.Stats
-	if stats == nil {
-		stats = make(map[string]int)
-	}
 	return &Result{
 		Repaired:  out,
 		Cost:      cfg.DatabaseCost(rel, out),
 		Changed:   changed,
 		Algorithm: res.Algorithm + "+CFD",
 		Elapsed:   res.Elapsed,
-		Stats:     stats,
+		Stats:     res.Stats,
 	}, nil
 }
 
@@ -382,6 +378,6 @@ func RepairWithMaster(rel *Relation, engine *RuleEngine, set *Set, cfg *DistConf
 	out := *res
 	out.Changed = changed
 	out.Cost = cfg.DatabaseCost(rel, res.Repaired)
-	out.AddStat("certainFixes", len(fixes))
+	out.Stats.CertainFixes += len(fixes)
 	return &out, nil
 }

@@ -106,18 +106,17 @@ func TestRepairCFD(t *testing.T) {
 	if len(res.Changed) != 1 {
 		t.Fatalf("changed = %v", res.Changed)
 	}
-	// Stats is always usable, even when the inner repair reported none.
-	if res.Stats == nil {
-		t.Fatal("RepairCFD returned nil Stats")
+	// The inner ExactS counters survive the wrapper.
+	if res.Stats.Vertices == 0 {
+		t.Fatalf("RepairCFD dropped the inner stats: %+v", res.Stats)
 	}
-	res.Stats["probe"] = 1 // must not panic on a guarded empty map
 	// GreedyS path and validation.
 	gres, err := ftrepair.RepairCFD(rel, c, cfg, 0.3, ftrepair.GreedyS, ftrepair.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gres.Stats == nil {
-		t.Fatal("RepairCFD(GreedyS) returned nil Stats")
+	if gres.Stats.Vertices == 0 || gres.Stats.SetSize == 0 {
+		t.Fatalf("RepairCFD(GreedyS) dropped the inner stats: %+v", gres.Stats)
 	}
 	if _, err := ftrepair.RepairCFD(rel, c, cfg, 0.3, ftrepair.ExactM, ftrepair.Options{}); err == nil {
 		t.Fatal("RepairCFD accepted a multi-FD algorithm")
@@ -221,8 +220,8 @@ func TestRepairWithMaster(t *testing.T) {
 	if res.Repaired.Tuples[4][2] != "TX" {
 		t.Fatalf("FT fix missing: %v", res.Repaired.Tuples[4])
 	}
-	if res.Stats["certainFixes"] != 1 {
-		t.Fatalf("certainFixes = %d", res.Stats["certainFixes"])
+	if res.Stats.CertainFixes != 1 {
+		t.Fatalf("certainFixes = %d", res.Stats.CertainFixes)
 	}
 	// Changed cells measured against the ORIGINAL input (both stages).
 	if len(res.Changed) != 2 {

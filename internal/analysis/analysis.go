@@ -1,10 +1,12 @@
 // Package analysis is ftrepair's project-specific static-analysis suite: a
 // set of analyzers over go/ast + go/types that pin down invariants the
 // repair algorithms rely on but the compiler cannot check — cooperative
-// cancellation polled inside unbounded loops, nil-guarded Stats maps,
-// Stats writes routed through Result.AddStat outside the packages that own
-// the obs-registry flush, epsilon-based float comparisons, locks never
-// copied by value, and idiomatic error construction.
+// cancellation polled inside unbounded loops, epsilon-based float
+// comparisons, locks never copied by value, idiomatic error construction,
+// deterministic iteration order, disciplined goroutines and atomics, spans
+// ended on every path, and ledger events staged through their buffers.
+// Invariants the type system can carry (the per-run repair Stats, for one)
+// are left to the compiler instead.
 //
 // The analyzer logic is framework-agnostic: each analyzer is a pure
 // function from a type-checked package (a Pass) to diagnostics, mirroring
@@ -58,8 +60,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		CancelPoll,
-		StatsGuard,
-		ObsGuard,
 		FloatEq,
 		LockCopy,
 		ErrFmt,

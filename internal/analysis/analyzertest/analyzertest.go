@@ -5,7 +5,7 @@
 //
 // A source line expecting diagnostics carries a trailing comment:
 //
-//	res.Stats["k"] = 1 // want `nil check`
+//	if a == b { // want `compares floats exactly`
 //
 // Each back-quoted or double-quoted string is a regular expression that
 // must match the message of one diagnostic reported on that line; lines

@@ -26,7 +26,7 @@ import (
 // Packages outside the decision set (obs, server, cli, benchmarks,
 // generators) are exempt: timing, request ids and synthetic-noise seeding
 // are their job. The exemption is by import-path suffix, mirroring
-// obsguard.
+// ledgerwrite.
 var NonDeterm = &Analyzer{
 	Name: "nondeterm",
 	Doc:  "flags time/rand/map-order nondeterminism inside repair decision packages",

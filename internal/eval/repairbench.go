@@ -220,7 +220,7 @@ func RepairBench(c RepairBenchConfig) (*RepairBenchDoc, error) {
 				NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
 				AllocsPerOp: float64(m1-m0) / float64(iters),
 				BytesPerOp:  float64(b1-b0) / float64(iters),
-				Combos:      res.Stats["combinations"],
+				Combos:      res.Stats.Combinations,
 			}
 			if e.NsPerOp > 0 {
 				e.CombosPerSec = float64(e.Combos) / (e.NsPerOp / 1e9)

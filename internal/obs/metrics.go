@@ -24,13 +24,13 @@ var Pipeline = struct {
 	GraphVertices *Counter
 	GraphEdges    *Counter
 	// DistCacheHits / DistCacheMisses are per-run distance-cache deltas
-	// (the "distCacheHits"/"distCacheMisses" Stats entries).
+	// (the DistCacheHits/DistCacheMisses fields of repair.Stats).
 	DistCacheHits   *Counter
 	DistCacheMisses *Counter
 	// DistPlaneHits / DistPlaneMisses are the per-run distance-plane deltas
-	// (the "distPlaneHits"/"distPlaneMisses" Stats entries): pairs answered
-	// by one atomic load against a per-column plane versus pairs that fell
-	// through to the sharded maps. The plane counts are also folded into
+	// (the DistPlaneHits/DistPlaneMisses fields of repair.Stats): pairs
+	// answered by one atomic load against a per-column plane versus pairs
+	// that fell through to the sharded maps. The plane counts are also folded into
 	// the distcache totals above, so these split the cache traffic, they do
 	// not add to it.
 	DistPlaneHits   *Counter
@@ -186,24 +186,6 @@ func ObserveRepair(algorithm string, d time.Duration) {
 		DurationBuckets(), Label{Key: "algorithm", Value: algorithm}).Observe(d.Seconds())
 }
 
-// runStatCounters maps repair Stats keys to their registry counters. The
-// "vertices"/"edges" keys are deliberately absent: vgraph.Build flushes
-// those itself (covering builds outside finished Results too), and a second
-// flush here would double count.
-var runStatCounters = map[string]*Counter{
-	"nodes":           Pipeline.MISNodes,
-	"pruned":          Pipeline.MISPruned,
-	"combinations":    Pipeline.BnBCombos,
-	"bnbIncumbents":   Pipeline.BnBIncumbents,
-	"treeVisited":     Pipeline.TreeVisited,
-	"setSize":         Pipeline.GreedySetSize,
-	"joinFallback":    Pipeline.JoinFallbacks,
-	"distCacheHits":   Pipeline.DistCacheHits,
-	"distCacheMisses": Pipeline.DistCacheMisses,
-	"distPlaneHits":   Pipeline.DistPlaneHits,
-	"distPlaneMisses": Pipeline.DistPlaneMisses,
-}
-
 // Ledger bundles the repair-ledger metrics. internal/ledger flushes the
 // first three once per Commit (never per event); VerifyFailures moves when
 // a replay verification or proof check fails — in a healthy deployment it
@@ -222,16 +204,4 @@ var Ledger = struct {
 		"Canonical encoded bytes of committed ledger events."),
 	VerifyFailures: std.Counter("ftrepair_ledger_verify_failures_total",
 		"Ledger replay or proof verifications that failed."),
-}
-
-// FlushRunStats folds a finished run's Stats map into the registry. This is
-// what makes the Stats maps a thin view over the registry: the algorithms
-// keep accumulating into their deterministic per-run maps, and the totals
-// land here exactly once, when the run's Result is finalized.
-func FlushRunStats(stats map[string]int) {
-	for k, v := range stats {
-		if c := runStatCounters[k]; c != nil {
-			c.AddInt(v)
-		}
-	}
 }

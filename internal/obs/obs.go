@@ -15,7 +15,7 @@
 //
 // Collection is read-only with respect to repair decisions and O(1)
 // amortized per event: hot loops keep accumulating into their existing
-// local counters (the repair Stats maps, atomic visit totals), and the
+// local counters (the per-run repair Stats, atomic visit totals), and the
 // totals flush into the registry once per phase or per run.
 package obs
 

@@ -170,20 +170,3 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Fatalf("buckets wrong: %+v", hs.Buckets)
 	}
 }
-
-func TestFlushRunStats(t *testing.T) {
-	before := Pipeline.BnBCombos.Value()
-	beforeTree := Pipeline.TreeVisited.Value()
-	FlushRunStats(map[string]int{
-		"combinations": 10,
-		"treeVisited":  4,
-		"vertices":     99, // not a run-stat key: vgraph flushes vertices
-		"unknown":      1,
-	})
-	if got := Pipeline.BnBCombos.Value() - before; got != 10 {
-		t.Fatalf("combinations delta = %d, want 10", got)
-	}
-	if got := Pipeline.TreeVisited.Value() - beforeTree; got != 4 {
-		t.Fatalf("treeVisited delta = %d, want 4", got)
-	}
-}

@@ -87,7 +87,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			set := repair.GrowGreedy(g, false)
 			sp.Add("setSize", int64(len(set)))
 			sp.End()
-			obs.FlushRunStats(map[string]int{"setSize": len(set)})
+			obs.Pipeline.GreedySetSize.AddInt(len(set))
 		}
 	})
 }

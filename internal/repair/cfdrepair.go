@@ -62,8 +62,11 @@ func allWildcard(c *fd.CFD) bool {
 // budget. It returns the repaired relation and accounting.
 func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Options) (*Result, error) {
 	start := time.Now()
-	snap := snapCacheStats(cfg)
-	stats := make(map[string]int)
+	// The nested GreedyM/GreedyS runs flush their own counters, distance-
+	// cache traffic included, in their finish. nested sums them for the
+	// report while own holds the counters only this run produces, so each
+	// count reaches the registry exactly once.
+	var own, nested Stats
 	// CFD repairs are not ledgered: the nested GreedyS runs operate on
 	// restricted sub-relations whose row numbering does not match rel, and
 	// the fixpoint rounds overwrite cells repeatedly outside any single
@@ -71,9 +74,6 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 	// events; the ledger covers the five core algorithms and the
 	// incremental engine.
 	opts.Ledger = nil
-	// done stamps the distance-cache deltas for the whole CFD run (the
-	// nested GreedyM/GreedyS results carry only their own slices).
-	done := func() { addCacheStats(stats, cfg, snap) }
 
 	var plainFDs []*fd.FD
 	var plainTaus []float64
@@ -100,10 +100,10 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 			return nil, err
 		}
 		out = res.Repaired
-		stats["plainFDRepairs"] = len(res.Changed)
+		own.PlainFDRepairs = len(res.Changed)
+		nested.Add(res.Stats)
 		if err != nil {
-			done()
-			return finishCanceled(rel, out, cfg, "CFDSet", time.Since(start), stats)
+			return finishCFD(rel, out, cfg, time.Since(start), own, nested, ErrCanceled)
 		}
 	}
 
@@ -119,8 +119,7 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 		// single-FD repair on the matching sub-relation.
 		for i, c := range conditional {
 			if canceled(opts.Cancel) {
-				done()
-				return finishCanceled(rel, out, cfg, "CFDSet", time.Since(start), stats)
+				return finishCFD(rel, out, cfg, time.Since(start), own, nested, ErrCanceled)
 			}
 			sub, rows := c.Restrict(out)
 			if sub.Len() < 2 {
@@ -130,6 +129,7 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 			if err != nil && !errors.Is(err, ErrCanceled) {
 				return nil, err
 			}
+			nested.Add(res.Stats)
 			for j, row := range rows {
 				for _, col := range c.Embedded.Attrs() {
 					if out.Tuples[row][col] != res.Repaired.Tuples[j][col] {
@@ -139,28 +139,28 @@ func RepairCFDSet(rel *dataset.Relation, s *CFDSet, cfg *fd.DistConfig, opts Opt
 				}
 			}
 			if err != nil {
-				done()
-				return finishCanceled(rel, out, cfg, "CFDSet", time.Since(start), stats)
+				return finishCFD(rel, out, cfg, time.Since(start), own, nested, ErrCanceled)
 			}
 		}
-		stats["cfdRounds"]++
+		own.CFDRounds++
 		if changed == 0 {
 			break
 		}
 	}
-	done()
-	return finish(rel, out, cfg, "CFDSet", time.Since(start), stats, nil, nil)
+	return finishCFD(rel, out, cfg, time.Since(start), own, nested, nil)
 }
 
-// finishCanceled packages the work done so far as a partial result paired
-// with ErrCanceled, matching the partial-on-cancel contract of GreedyS and
-// GreedyM.
-func finishCanceled(rel, out *dataset.Relation, cfg *fd.DistConfig, name string, elapsed time.Duration, stats map[string]int) (*Result, error) {
-	res, err := finish(rel, out, cfg, name, elapsed, stats, nil, nil)
+// finishCFD finishes a CFDSet run: finish flushes only the run's own
+// counters, then the report adds the already-flushed nested totals. A
+// non-nil cause (ErrCanceled) is returned alongside the partial result,
+// matching the partial-on-cancel contract of GreedyS and GreedyM.
+func finishCFD(rel, out *dataset.Relation, cfg *fd.DistConfig, elapsed time.Duration, own, nested Stats, cause error) (*Result, error) {
+	res, err := finish(rel, out, cfg, "CFDSet", elapsed, own, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res, ErrCanceled
+	res.Stats.Add(nested)
+	return res, cause
 }
 
 // applyConstantRows enforces constant RHS patterns and returns the number

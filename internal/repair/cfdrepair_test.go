@@ -5,6 +5,7 @@ import (
 
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/fd"
+	"ftrepair/internal/obs"
 	"ftrepair/internal/repair"
 )
 
@@ -29,7 +30,10 @@ func TestNewCFDSetValidation(t *testing.T) {
 	}
 }
 
-func TestRepairCFDSetMixed(t *testing.T) {
+// mixedCFDInstance is a 12-row relation with one constant CFD (nested
+// GreedyS over its matching rows) and one plain FD (nested GreedyM).
+func mixedCFDInstance(t *testing.T) (*dataset.Relation, *repair.CFDSet, *fd.DistConfig) {
+	t.Helper()
 	schema := dataset.Strings("City", "AC", "State")
 	// The (Boston,617,MA) pattern needs enough witnesses that absorbing it
 	// into the typo spelling is more expensive than repairing the RI
@@ -67,6 +71,11 @@ func TestRepairCFDSetMixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rel, s, cfg
+}
+
+func TestRepairCFDSetMixed(t *testing.T) {
+	rel, s, cfg := mixedCFDInstance(t)
 	res, err := repair.RepairCFDSet(rel, s, cfg, repair.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +98,42 @@ func TestRepairCFDSetMixed(t *testing.T) {
 	// Input untouched.
 	if rel.Tuples[2][2] != "CA" {
 		t.Fatal("input mutated")
+	}
+}
+
+// TestRepairCFDSetFlushesOnce pins the registry view of a CFD run. The
+// nested GreedyM/GreedyS runs flush their own counters, so the registry
+// must gain exactly what the returned Stats report: the outer run may not
+// flush the same distance-cache traffic a second time.
+func TestRepairCFDSetFlushesOnce(t *testing.T) {
+	rel, s, cfg := mixedCFDInstance(t)
+	counters := []struct {
+		name  string
+		c     *obs.Counter
+		field func(repair.Stats) int
+	}{
+		{"distCacheHits", obs.Pipeline.DistCacheHits, func(s repair.Stats) int { return s.DistCacheHits }},
+		{"distCacheMisses", obs.Pipeline.DistCacheMisses, func(s repair.Stats) int { return s.DistCacheMisses }},
+		{"distPlaneHits", obs.Pipeline.DistPlaneHits, func(s repair.Stats) int { return s.DistPlaneHits }},
+		{"distPlaneMisses", obs.Pipeline.DistPlaneMisses, func(s repair.Stats) int { return s.DistPlaneMisses }},
+		{"setSize", obs.Pipeline.GreedySetSize, func(s repair.Stats) int { return s.SetSize }},
+		{"treeVisited", obs.Pipeline.TreeVisited, func(s repair.Stats) int { return s.TreeVisited }},
+	}
+	before := make([]uint64, len(counters))
+	for i, c := range counters {
+		before[i] = c.c.Value()
+	}
+	res, err := repair.RepairCFDSet(rel, s, cfg, repair.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.DistCacheHits+res.Stats.DistCacheMisses == 0 {
+		t.Fatalf("no distance-cache traffic reported: %+v", res.Stats)
+	}
+	for i, c := range counters {
+		if d := int(c.c.Value() - before[i]); d != c.field(res.Stats) {
+			t.Errorf("%s: registry gained %d, Stats report %d", c.name, d, c.field(res.Stats))
+		}
 	}
 }
 

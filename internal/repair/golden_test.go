@@ -105,9 +105,9 @@ func TestGoldenRepairsAcrossWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Parallel=%d: %v", parallel, err)
 				}
-				if len(res.Changed) == 0 || res.Stats["treeVisited"] == 0 {
+				if len(res.Changed) == 0 || res.Stats.TreeVisited == 0 {
 					t.Fatalf("Parallel=%d: %d cells changed, %d tree nodes visited; instance too clean to pin target search",
-						parallel, len(res.Changed), res.Stats["treeVisited"])
+						parallel, len(res.Changed), res.Stats.TreeVisited)
 				}
 				var out bytes.Buffer
 				if err := dataset.WriteCSV(&out, res.Repaired); err != nil {

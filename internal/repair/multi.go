@@ -54,13 +54,13 @@ func GreedyM(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Option
 
 // componentFunc repairs one connected component of the FD graph in place,
 // recording applied cells into ev when non-nil.
-type componentFunc func(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error
+type componentFunc func(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats *Stats, ev *eventBuf) error
 
 func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, name string, repairComp componentFunc) (*Result, error) {
 	start := time.Now()
 	snap := snapCacheStats(cfg)
 	out := rel.Clone()
-	stats := make(map[string]int)
+	var stats Stats
 	comps := set.Components()
 	// Each component gets a private event buffer: components repair disjoint
 	// attribute columns, so buffers never race, and flattening them in
@@ -87,7 +87,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 	// partial finishes the result over whatever components committed before
 	// a cancellation and surfaces the typed error alongside it.
 	partial := func() (*Result, error) {
-		addCacheStats(stats, cfg, snap)
+		addCacheStats(&stats, cfg, snap)
 		res, ferr := finish(rel, out, cfg, name, time.Since(start), stats, opts.Ledger, gather())
 		if ferr != nil {
 			return nil, ferr
@@ -101,7 +101,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 		return bufs[i]
 	}
 	if opts.Parallel >= 2 && len(comps) > 1 {
-		if err := repairComponentsParallel(rel, out, set, cfg, opts, stats, comps, repairComp, compBuf); err != nil {
+		if err := repairComponentsParallel(rel, out, set, cfg, opts, &stats, comps, repairComp, compBuf); err != nil {
 			if errors.Is(err, ErrCanceled) {
 				return partial()
 			}
@@ -113,7 +113,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 				return partial()
 			}
 			sub := set.Subset(comp)
-			if err := repairComp(rel, out, sub, cfg, opts, stats, compBuf(i)); err != nil {
+			if err := repairComp(rel, out, sub, cfg, opts, &stats, compBuf(i)); err != nil {
 				if errors.Is(err, ErrCanceled) {
 					return partial()
 				}
@@ -121,7 +121,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 			}
 		}
 	}
-	addCacheStats(stats, cfg, snap)
+	addCacheStats(&stats, cfg, snap)
 	return finish(rel, out, cfg, name, time.Since(start), stats, opts.Ledger, gather())
 }
 
@@ -129,7 +129,7 @@ func multiRepair(rel *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Op
 // goroutines. Components write disjoint attribute columns of out, so the
 // repairs commute; stats merge under a lock, and each worker records events
 // into its own component buffer (fetched via compBuf by component index).
-func repairComponentsParallel(rel, out *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, comps [][]int, repairComp componentFunc, compBuf func(int) *eventBuf) error {
+func repairComponentsParallel(rel, out *dataset.Relation, set *fd.Set, cfg *fd.DistConfig, opts Options, stats *Stats, comps [][]int, repairComp componentFunc, compBuf func(int) *eventBuf) error {
 	sem := make(chan struct{}, opts.Parallel)
 	errs := make(chan error, len(comps))
 	var mu sync.Mutex
@@ -146,16 +146,14 @@ func repairComponentsParallel(rel, out *dataset.Relation, set *fd.Set, cfg *fd.D
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			local := make(map[string]int)
-			err := repairComp(rel, out, set.Subset(comp), cfg, opts, local, compBuf(ci))
+			var local Stats
+			err := repairComp(rel, out, set.Subset(comp), cfg, opts, &local, compBuf(ci))
 			if err != nil {
 				errs <- err
 				return
 			}
 			mu.Lock()
-			for k, v := range local {
-				stats[k] += v
-			}
+			stats.Add(local)
 			mu.Unlock()
 		}()
 	}
@@ -221,7 +219,7 @@ func buildGraphs(rel *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Op
 }
 
 // exactComponent implements Algorithm 3 for one component.
-func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
+func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats *Stats, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	if len(sub.FDs) == 1 {
 		// Single-FD component: the expansion algorithm is optimal
@@ -242,7 +240,7 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 		if err != nil {
 			return err
 		}
-		stats["nodes"] += res.NodesExplored
+		stats.Nodes += res.NodesExplored
 		ap := obs.Begin(opts.Trace, obs.PhaseApply)
 		applyInPlace(out, graphs[0], repairTargets(graphs[0], res.Set), cfg, ev)
 		ap.End()
@@ -270,7 +268,7 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 	}
 	sp.Add("combinations", int64(combos))
 	sp.End()
-	stats["combinations"] += combos
+	stats.Combinations += combos
 
 	groups := groupTuples(rel, unionAttrs(sub.FDs))
 	p := newPlanner(groups, graphs, cfg, opts.DisableTargetTree, opts.Cancel,
@@ -280,8 +278,8 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 	ts.Add("treeVisited", int64(visited))
 	ts.Add("incumbents", int64(updates))
 	ts.End()
-	stats["treeVisited"] += visited
-	stats["bnbIncumbents"] += updates
+	stats.TreeVisited += visited
+	stats.BnBIncumbents += updates
 	if err != nil {
 		return err
 	}
@@ -298,7 +296,7 @@ func exactComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 }
 
 // approComponent implements §4.3 for one component.
-func approComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
+func approComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats *Stats, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	sets := make([][]int, len(graphs))
@@ -314,7 +312,7 @@ func approComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig,
 }
 
 // greedyComponent implements §4.4 for one component.
-func greedyComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, ev *eventBuf) error {
+func greedyComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats *Stats, ev *eventBuf) error {
 	graphs := buildGraphs(rel, sub, cfg, opts)
 	sp := obs.Begin(opts.Trace, obs.PhaseGreedyGrow)
 	sets := jointGreedySets(rel, graphs, opts.Cancel)
@@ -331,7 +329,7 @@ func greedyComponent(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 // every tuple whose projections fall outside them. When the join is empty
 // (the chosen sets disagree on every shared value — possible for heuristic
 // sets), it falls back to iterated per-FD greedy repair.
-func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats map[string]int, graphs []*vgraph.Graph, sets [][]int, ev *eventBuf) error {
+func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig, opts Options, stats *Stats, graphs []*vgraph.Graph, sets [][]int, ev *eventBuf) error {
 	if len(graphs) == 1 {
 		ap := obs.Begin(opts.Trace, obs.PhaseApply)
 		applyInPlace(out, graphs[0], repairTargets(graphs[0], sets[0]), cfg, ev)
@@ -345,12 +343,12 @@ func applyJoinedSets(rel, out *dataset.Relation, sub *fd.Set, cfg *fd.DistConfig
 	targets, _, visited, ok := p.costs(chosenBits(graphs, sets), levelsFor(graphs, sets), nil)
 	ts.Add("treeVisited", int64(visited))
 	ts.End()
-	stats["treeVisited"] += visited
+	stats.TreeVisited += visited
 	if canceled(opts.Cancel) {
 		return ErrCanceled
 	}
 	if !ok {
-		stats["joinFallback"]++
+		stats.JoinFallback++
 		return sequentialFallback(out, sub, cfg, opts, ev)
 	}
 	if ev != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"maps"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -87,8 +86,8 @@ func TestExactMTraceSpans(t *testing.T) {
 	if got[obs.PhaseGraphBuild] < 2 || got[obs.PhaseExpand] == 0 || got[obs.PhaseTargetSearch] == 0 {
 		t.Fatalf("phases = %v, want >=2 graphbuild, >=1 expand, >=1 targetsearch", got)
 	}
-	if res.Stats["combinations"] == 0 {
-		t.Fatalf("no combinations recorded: %v", res.Stats)
+	if res.Stats.Combinations == 0 {
+		t.Fatalf("no combinations recorded: %+v", res.Stats)
 	}
 }
 
@@ -180,18 +179,18 @@ func TestTraceDoesNotChangeOutput(t *testing.T) {
 		// records the miss depends on scheduling. The number of lookups
 		// does not, so each hit/miss pair must agree in its sum, and every
 		// other stat exactly.
-		want, got := maps.Clone(plain.Stats), maps.Clone(traced.Stats)
-		for _, pair := range [][2]string{{"distCacheHits", "distCacheMisses"}, {"distPlaneHits", "distPlaneMisses"}} {
-			if w, g := want[pair[0]]+want[pair[1]], got[pair[0]]+got[pair[1]]; w != g {
-				t.Fatalf("tracing changed %s+%s: %d != %d", pair[0], pair[1], w, g)
-			}
-			for _, k := range pair {
-				delete(want, k)
-				delete(got, k)
-			}
+		want, got := plain.Stats, traced.Stats
+		if w, g := want.DistCacheHits+want.DistCacheMisses, got.DistCacheHits+got.DistCacheMisses; w != g {
+			t.Fatalf("tracing changed distCacheHits+distCacheMisses: %d != %d", w, g)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("tracing changed stats: %v != %v", plain.Stats, traced.Stats)
+		if w, g := want.DistPlaneHits+want.DistPlaneMisses, got.DistPlaneHits+got.DistPlaneMisses; w != g {
+			t.Fatalf("tracing changed distPlaneHits+distPlaneMisses: %d != %d", w, g)
+		}
+		for _, s := range []*Stats{&want, &got} {
+			s.DistCacheHits, s.DistCacheMisses, s.DistPlaneHits, s.DistPlaneMisses = 0, 0, 0, 0
+		}
+		if want != got {
+			t.Fatalf("tracing changed stats: %+v != %+v", plain.Stats, traced.Stats)
 		}
 	})
 	t.Run("GOMAXPROCS=1", func(t *testing.T) {
@@ -199,15 +198,15 @@ func TestTraceDoesNotChangeOutput(t *testing.T) {
 		// split is deterministic.
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		plain, traced := run(t)
-		if !reflect.DeepEqual(plain.Stats, traced.Stats) {
-			t.Fatalf("tracing changed stats: %v != %v", plain.Stats, traced.Stats)
+		if plain.Stats != traced.Stats {
+			t.Fatalf("tracing changed stats: %+v != %+v", plain.Stats, traced.Stats)
 		}
 	})
 }
 
 // TestMetricsFlowFromRepair checks the registry view: one greedy run must
-// bump graph-build and set-size counters in obs.Default() (the Stats map
-// is flushed by finish, the graph totals by vgraph.Build).
+// bump graph-build and set-size counters in obs.Default() (the run's Stats
+// are flushed by finish, the graph totals by vgraph.Build).
 func TestMetricsFlowFromRepair(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rel := noisyPairRelation(t, rng, 100, 0.3)
@@ -223,8 +222,8 @@ func TestMetricsFlowFromRepair(t *testing.T) {
 	if d := obs.Pipeline.GraphBuilds.Value() - builds; d != 1 {
 		t.Fatalf("graph-build counter delta = %d, want 1", d)
 	}
-	if d := int(obs.Pipeline.GreedySetSize.Value() - setSize); d != res.Stats["setSize"] {
-		t.Fatalf("set-size counter delta = %d, want %d", d, res.Stats["setSize"])
+	if d := int(obs.Pipeline.GreedySetSize.Value() - setSize); d != res.Stats.SetSize {
+		t.Fatalf("set-size counter delta = %d, want %d", d, res.Stats.SetSize)
 	}
 	var buf bytes.Buffer
 	if err := obs.Default().WritePrometheus(&buf); err != nil {
@@ -239,5 +238,23 @@ func TestMetricsFlowFromRepair(t *testing.T) {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestStatsFlush checks the field-to-counter mapping of the one Stats
+// flush: registry twins move by the field values, and vertices/edges stay
+// put because vgraph.Build flushes those itself.
+func TestStatsFlush(t *testing.T) {
+	p := &obs.Pipeline
+	combos, tree, verts := p.BnBCombos.Value(), p.TreeVisited.Value(), p.GraphVertices.Value()
+	Stats{Combinations: 10, TreeVisited: 4, Vertices: 99}.flush()
+	if got := p.BnBCombos.Value() - combos; got != 10 {
+		t.Fatalf("combinations delta = %d, want 10", got)
+	}
+	if got := p.TreeVisited.Value() - tree; got != 4 {
+		t.Fatalf("treeVisited delta = %d, want 4", got)
+	}
+	if got := p.GraphVertices.Value() - verts; got != 0 {
+		t.Fatalf("vertices delta = %d, want 0 (vgraph.Build owns it)", got)
 	}
 }

@@ -39,22 +39,71 @@ type Result struct {
 	Algorithm string
 	// Elapsed is the wall-clock repair time.
 	Elapsed time.Duration
-	// Stats carries algorithm-specific counters (expansion nodes, pruned
-	// subtrees, targets considered, ...). May be nil. Write through AddStat
-	// (enforced by the obsguard repairlint analyzer outside this package)
-	// so counters stay a consistent view over the obs registry.
-	Stats map[string]int
+	// Stats carries the run's algorithm-specific counters (expansion
+	// nodes, pruned subtrees, targets visited, ...).
+	Stats Stats
 }
 
-// AddStat accumulates n into the named Stats counter, allocating the map on
-// first use. This is the sanctioned write path for Stats outside
-// internal/repair: direct map writes bypass the registry bookkeeping and
-// are flagged by the obsguard analyzer.
-func (res *Result) AddStat(key string, n int) {
-	if res.Stats == nil {
-		res.Stats = make(map[string]int)
-	}
-	res.Stats[key] += n
+// Stats is a run's cost accounting (paper Table 2): graph size, expansion
+// and branch-and-bound work, §5 target-tree visits, greedy set sizes and
+// distance-cache traffic. finish flushes it into the obs registry exactly
+// once per run; the JSON keys are the repaird wire names.
+type Stats struct {
+	Vertices        int `json:"vertices,omitempty"`
+	Edges           int `json:"edges,omitempty"`
+	Nodes           int `json:"nodes,omitempty"`
+	Pruned          int `json:"pruned,omitempty"`
+	SetSize         int `json:"setSize,omitempty"`
+	Combinations    int `json:"combinations,omitempty"`
+	TreeVisited     int `json:"treeVisited,omitempty"`
+	BnBIncumbents   int `json:"bnbIncumbents,omitempty"`
+	JoinFallback    int `json:"joinFallback,omitempty"`
+	DistCacheHits   int `json:"distCacheHits,omitempty"`
+	DistCacheMisses int `json:"distCacheMisses,omitempty"`
+	DistPlaneHits   int `json:"distPlaneHits,omitempty"`
+	DistPlaneMisses int `json:"distPlaneMisses,omitempty"`
+	PlainFDRepairs  int `json:"plainFDRepairs,omitempty"`
+	CFDRounds       int `json:"cfdRounds,omitempty"`
+	CertainFixes    int `json:"certainFixes,omitempty"`
+}
+
+// Add merges o into s field by field.
+func (s *Stats) Add(o Stats) {
+	s.Vertices += o.Vertices
+	s.Edges += o.Edges
+	s.Nodes += o.Nodes
+	s.Pruned += o.Pruned
+	s.SetSize += o.SetSize
+	s.Combinations += o.Combinations
+	s.TreeVisited += o.TreeVisited
+	s.BnBIncumbents += o.BnBIncumbents
+	s.JoinFallback += o.JoinFallback
+	s.DistCacheHits += o.DistCacheHits
+	s.DistCacheMisses += o.DistCacheMisses
+	s.DistPlaneHits += o.DistPlaneHits
+	s.DistPlaneMisses += o.DistPlaneMisses
+	s.PlainFDRepairs += o.PlainFDRepairs
+	s.CFDRounds += o.CFDRounds
+	s.CertainFixes += o.CertainFixes
+}
+
+// flush folds the counters that have a registry twin into obs.Pipeline.
+// Vertices and edges are excluded: vgraph.Build flushes those at
+// construction (covering builds outside finished runs too), and a second
+// flush here would double count.
+func (s Stats) flush() {
+	p := &obs.Pipeline
+	p.MISNodes.AddInt(s.Nodes)
+	p.MISPruned.AddInt(s.Pruned)
+	p.BnBCombos.AddInt(s.Combinations)
+	p.BnBIncumbents.AddInt(s.BnBIncumbents)
+	p.TreeVisited.AddInt(s.TreeVisited)
+	p.GreedySetSize.AddInt(s.SetSize)
+	p.JoinFallbacks.AddInt(s.JoinFallback)
+	p.DistCacheHits.AddInt(s.DistCacheHits)
+	p.DistCacheMisses.AddInt(s.DistCacheMisses)
+	p.DistPlaneHits.AddInt(s.DistPlaneHits)
+	p.DistPlaneMisses.AddInt(s.DistPlaneMisses)
 }
 
 // Options tunes the repair algorithms.
@@ -97,7 +146,7 @@ type Options struct {
 	// Ledger, when non-nil, receives every applied cell repair as a
 	// structured event with its justification (FD, violation edge or
 	// join-target, per-cell cost delta). Each run commits exactly once, in
-	// finish — the same single-flush-point pattern as FlushRunStats — and
+	// finish — the same single flush point as the run's Stats — and
 	// partial (canceled) runs commit the work they applied. Like Trace,
 	// purely observational: repair decisions never consult the sink, and
 	// the committed event stream is bit-identical at any worker count.
@@ -140,20 +189,18 @@ func snapCacheStats(cfg *fd.DistConfig) cacheSnap {
 	return cacheSnap{hits: h, misses: m, planeHits: ph, planeMisses: pm}
 }
 
-// addCacheStats records the distance-cache hit/miss deltas since snap into
-// the stats map under "distCacheHits"/"distCacheMisses", and the
-// distance-plane share of that traffic under
-// "distPlaneHits"/"distPlaneMisses".
-func addCacheStats(stats map[string]int, cfg *fd.DistConfig, snap cacheSnap) {
-	if cfg.Cache == nil || stats == nil {
+// addCacheStats records the distance-cache hit/miss deltas since snap,
+// and the distance-plane share of that traffic, into stats.
+func addCacheStats(stats *Stats, cfg *fd.DistConfig, snap cacheSnap) {
+	if cfg.Cache == nil {
 		return
 	}
 	h, m := cfg.Cache.Counters()
-	stats["distCacheHits"] += int(h - snap.hits)
-	stats["distCacheMisses"] += int(m - snap.misses)
+	stats.DistCacheHits += int(h - snap.hits)
+	stats.DistCacheMisses += int(m - snap.misses)
 	ph, pm := cfg.Cache.PlaneCounters()
-	stats["distPlaneHits"] += int(ph - snap.planeHits)
-	stats["distPlaneMisses"] += int(pm - snap.planeMisses)
+	stats.DistPlaneHits += int(ph - snap.planeHits)
+	stats.DistPlaneMisses += int(pm - snap.planeMisses)
 }
 
 // canceled reports whether the cancel channel (possibly nil) has fired.
@@ -173,19 +220,15 @@ func canceled(ch <-chan struct{}) bool {
 // repair decision code never holds a clock reading as data — callers pass
 // time.Since(start) at the return point (nondeterm invariant, DESIGN.md §15).
 //
-// It is also the run's single ledger flush point, mirroring FlushRunStats:
-// every algorithm funnels its applied events here exactly once, canceled
-// partial runs included, so a sink sees each applied cell exactly once.
-func finish(orig *dataset.Relation, repaired *dataset.Relation, cfg *fd.DistConfig, algorithm string, elapsed time.Duration, stats map[string]int, sink ledger.Sink, events []ledger.RepairEvent) (*Result, error) {
+// It is also the run's single flush point for Stats and the ledger: every
+// algorithm funnels its applied events here exactly once, canceled partial
+// runs included, so the registry and a sink see each run exactly once.
+func finish(orig *dataset.Relation, repaired *dataset.Relation, cfg *fd.DistConfig, algorithm string, elapsed time.Duration, stats Stats, sink ledger.Sink, events []ledger.RepairEvent) (*Result, error) {
 	changed, err := dataset.Diff(orig, repaired)
 	if err != nil {
 		return nil, err
 	}
-	// The one flush point for run-level stats: every algorithm funnels its
-	// finished (or canceled-partial) Result through finish, so registry
-	// totals see each run exactly once. Graph vertex/edge totals are
-	// excluded — vgraph.Build flushes those at construction.
-	obs.FlushRunStats(stats)
+	stats.flush()
 	obs.ObserveRepair(algorithm, elapsed)
 	if sink != nil && len(events) > 0 {
 		for i := range events {

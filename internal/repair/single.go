@@ -37,11 +37,8 @@ func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, op
 	if errors.Is(err, mis.ErrCanceled) {
 		// Canceled mid-search: no set was chosen, so the partial repair is
 		// the untouched input.
-		stats := map[string]int{
-			"vertices": len(g.Vertices),
-			"edges":    g.NumEdges(),
-		}
-		addCacheStats(stats, cfg, snap)
+		stats := Stats{Vertices: len(g.Vertices), Edges: g.NumEdges()}
+		addCacheStats(&stats, cfg, snap)
 		partial, ferr := finish(rel, rel.Clone(), cfg, "ExactS", time.Since(start), stats, opts.Ledger, nil)
 		if ferr != nil {
 			return nil, ferr
@@ -55,13 +52,13 @@ func ExactS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, op
 	ap := obs.Begin(opts.Trace, obs.PhaseApply)
 	repaired := applyVertexRepairs(rel, g, repairTargets(g, res.Set), cfg, ev)
 	ap.End()
-	stats := map[string]int{
-		"vertices": len(g.Vertices),
-		"edges":    g.NumEdges(),
-		"nodes":    res.NodesExplored,
-		"pruned":   res.Pruned,
+	stats := Stats{
+		Vertices: len(g.Vertices),
+		Edges:    g.NumEdges(),
+		Nodes:    res.NodesExplored,
+		Pruned:   res.Pruned,
 	}
-	addCacheStats(stats, cfg, snap)
+	addCacheStats(&stats, cfg, snap)
 	return finish(rel, repaired, cfg, "ExactS", time.Since(start), stats, opts.Ledger, ev.take())
 }
 
@@ -107,12 +104,8 @@ func GreedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, o
 	ap := obs.Begin(opts.Trace, obs.PhaseApply)
 	repaired := applyVertexRepairs(rel, g, repairTargets(g, set), cfg, ev)
 	ap.End()
-	stats := map[string]int{
-		"vertices": len(g.Vertices),
-		"edges":    g.NumEdges(),
-		"setSize":  len(set),
-	}
-	addCacheStats(stats, cfg, snap)
+	stats := Stats{Vertices: len(g.Vertices), Edges: g.NumEdges(), SetSize: len(set)}
+	addCacheStats(&stats, cfg, snap)
 	res, err := finish(rel, repaired, cfg, "GreedyS", time.Since(start), stats, opts.Ledger, ev.take())
 	if err == nil && canceled(opts.Cancel) {
 		// The greedy growth stopped early: excluded vertices without an

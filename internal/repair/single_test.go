@@ -39,7 +39,7 @@ func TestExactSCitizensExample8(t *testing.T) {
 	if len(res.Changed) != 4 {
 		t.Fatalf("changed cells = %v, want 4", res.Changed)
 	}
-	if res.Algorithm != "ExactS" || res.Cost <= 0 || res.Stats["vertices"] != 7 {
+	if res.Algorithm != "ExactS" || res.Cost <= 0 || res.Stats.Vertices != 7 {
 		t.Fatalf("result metadata: %+v", res)
 	}
 	// Input must be untouched.

@@ -10,6 +10,7 @@ import (
 	"ftrepair/internal/dataset"
 	"ftrepair/internal/ledger"
 	"ftrepair/internal/obs"
+	"ftrepair/internal/repair"
 )
 
 // JobState is the lifecycle state of a repair job.
@@ -41,12 +42,12 @@ type ChangedCell struct {
 
 // JobResult is the outcome of a completed (or partially completed) job.
 type JobResult struct {
-	Algorithm string         `json:"algorithm"`
-	Cost      float64        `json:"cost"`
-	ElapsedMs float64        `json:"elapsedMs"`
-	Tuples    int            `json:"tuples"`
-	Changed   []ChangedCell  `json:"changed"`
-	Stats     map[string]int `json:"stats,omitempty"`
+	Algorithm string        `json:"algorithm"`
+	Cost      float64       `json:"cost"`
+	ElapsedMs float64       `json:"elapsedMs"`
+	Tuples    int           `json:"tuples"`
+	Changed   []ChangedCell `json:"changed"`
+	Stats     repair.Stats  `json:"stats"`
 	// CSV is the repaired relation serialized back to CSV.
 	CSV string `json:"csv"`
 	// FTConsistent and Valid report verification outcomes when the spec

@@ -530,3 +530,32 @@ func TestShutdownCancelsInFlight(t *testing.T) {
 		t.Fatalf("post-shutdown submit: %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestJobStatsWireFormat pins the stats object of a finished GreedyS job
+// to the key names API clients have always seen, so the typed counters
+// behind it cannot silently rename a field.
+func TestJobStatsWireFormat(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	v := submitJob(t, ts.URL, JobSpec{CSV: hospCSV(), FDs: []string{"City -> State"}, Algorithm: "GreedyS"})
+	if final := pollJob(t, ts.URL, v.ID, 30*time.Second); final.State != JobDone {
+		t.Fatalf("job ended %s (%s)", final.State, final.Error)
+	}
+	_, body := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+v.ID)
+	var raw struct {
+		Result struct {
+			Stats map[string]int `json:"stats"`
+		} `json:"result"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"vertices", "edges", "setSize", "distCacheHits", "distCacheMisses", "distPlaneHits", "distPlaneMisses"}
+	for _, k := range want {
+		if raw.Result.Stats[k] == 0 {
+			t.Errorf("stats key %q missing or zero: %v", k, raw.Result.Stats)
+		}
+	}
+	if len(raw.Result.Stats) != len(want) {
+		t.Errorf("stats keys = %v, want exactly %v", raw.Result.Stats, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ftrepair/internal/obs"
+	"ftrepair/internal/repair"
 )
 
 // AlgoStat aggregates latency for one algorithm.
@@ -25,12 +26,12 @@ type StatsView struct {
 	SessionTuples  int              `json:"sessionTuples"`
 	SessionRepairs int              `json:"sessionRepairs"`
 	// DistCacheHits/Misses aggregate the distance-cache counters reported by
-	// finished jobs (the "distCacheHits"/"distCacheMisses" Stats entries).
+	// finished jobs (their Stats.DistCacheHits/DistCacheMisses).
 	DistCacheHits   int `json:"distCacheHits"`
 	DistCacheMisses int `json:"distCacheMisses"`
 	// DistPlaneHits/Misses split the cache traffic above into the
 	// distance-plane fast path versus sharded-map fall-throughs (the
-	// "distPlaneHits"/"distPlaneMisses" Stats entries).
+	// Stats.DistPlaneHits/DistPlaneMisses fields).
 	DistPlaneHits   int                  `json:"distPlaneHits"`
 	DistPlaneMisses int                  `json:"distPlaneMisses"`
 	Algorithms      map[string]*AlgoStat `json:"algorithms"`
@@ -108,16 +109,13 @@ func (m *metrics) jobFinished(state JobState, algo string, elapsed time.Duration
 }
 
 // addDistCache accumulates the distance-cache counters a finished job
-// reported in its repair Stats map.
-func (m *metrics) addDistCache(stats map[string]int) {
-	if stats == nil {
-		return
-	}
+// reported in its repair Stats.
+func (m *metrics) addDistCache(stats repair.Stats) {
 	m.mu.Lock()
-	m.distCacheHits += stats["distCacheHits"]
-	m.distCacheMiss += stats["distCacheMisses"]
-	m.distPlaneHits += stats["distPlaneHits"]
-	m.distPlaneMiss += stats["distPlaneMisses"]
+	m.distCacheHits += stats.DistCacheHits
+	m.distCacheMiss += stats.DistCacheMisses
+	m.distPlaneHits += stats.DistPlaneHits
+	m.distPlaneMiss += stats.DistPlaneMisses
 	m.mu.Unlock()
 }
 

@@ -198,8 +198,8 @@ func (b *Builder) Build(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau
 
 	// Flush build totals into the default registry here — the single flush
 	// point for graph metrics, covering every Build regardless of caller
-	// (repairs, Detect, benchmarks). FlushRunStats deliberately skips the
-	// vertices/edges Stats keys for the same reason.
+	// (repairs, Detect, benchmarks). The repair Stats flush deliberately
+	// skips its Vertices/Edges fields for the same reason.
 	edges := g.NumEdges()
 	obs.Pipeline.GraphBuilds.Inc()
 	obs.Pipeline.GraphVertices.AddInt(len(g.Vertices))
