@@ -269,51 +269,30 @@ var (
 )
 
 // Algorithm selects one of the paper's repair algorithms.
-type Algorithm string
+type Algorithm = repair.Algorithm
 
 // The five algorithms of the paper (Table 2).
 const (
 	// ExactS: expansion-based optimal repair for a single FD (§3.1).
-	ExactS Algorithm = "ExactS"
+	ExactS = repair.AlgoExactS
 	// GreedyS: greedy repair for a single FD (§3.2).
-	GreedyS Algorithm = "GreedyS"
+	GreedyS = repair.AlgoGreedyS
 	// ExactM: optimal repair for multiple FDs over joined maximal
 	// independent sets (§4.2).
-	ExactM Algorithm = "ExactM"
+	ExactM = repair.AlgoExactM
 	// ApproM: per-FD greedy repair joined into targets (§4.3).
-	ApproM Algorithm = "ApproM"
+	ApproM = repair.AlgoApproM
 	// GreedyM: joint greedy repair with cross-FD synchronization (§4.4).
-	GreedyM Algorithm = "GreedyM"
+	GreedyM = repair.AlgoGreedyM
 )
 
 // Algorithms lists every available algorithm in presentation order.
-func Algorithms() []Algorithm {
-	return []Algorithm{ExactS, GreedyS, ExactM, ApproM, GreedyM}
-}
+func Algorithms() []Algorithm { return repair.Algorithms() }
 
 // Repair computes an FT-consistent, closed-world repair of rel w.r.t. set
 // using the chosen algorithm. The single-FD algorithms (ExactS, GreedyS)
 // require len(set.FDs) == 1. The input relation is never modified.
-func Repair(rel *Relation, set *Set, cfg *DistConfig, algo Algorithm, opts Options) (*Result, error) {
-	switch algo {
-	case ExactS, GreedyS:
-		if len(set.FDs) != 1 {
-			return nil, fmt.Errorf("ftrepair: %s repairs a single FD, set has %d", algo, len(set.FDs))
-		}
-		if algo == ExactS {
-			return repair.ExactS(rel, set.FDs[0], cfg, set.Tau[0], opts)
-		}
-		return repair.GreedyS(rel, set.FDs[0], cfg, set.Tau[0], opts)
-	case ExactM:
-		return repair.ExactM(rel, set, cfg, opts)
-	case ApproM:
-		return repair.ApproM(rel, set, cfg, opts)
-	case GreedyM:
-		return repair.GreedyM(rel, set, cfg, opts)
-	default:
-		return nil, fmt.Errorf("ftrepair: unknown algorithm %q", algo)
-	}
-}
+var Repair = repair.Run
 
 // RepairCFD repairs rel w.r.t. a single conditional functional dependency:
 // the tuples matching the CFD's pattern tableau are restricted, repaired
@@ -325,14 +304,12 @@ func RepairCFD(rel *Relation, c *CFD, cfg *DistConfig, tau float64, algo Algorit
 	if algo != ExactS && algo != GreedyS {
 		return nil, fmt.Errorf("ftrepair: RepairCFD supports ExactS or GreedyS, got %q", algo)
 	}
-	sub, rows := c.Restrict(rel)
-	var res *Result
-	var err error
-	if algo == ExactS {
-		res, err = repair.ExactS(sub, c.Embedded, cfg, tau, opts)
-	} else {
-		res, err = repair.GreedyS(sub, c.Embedded, cfg, tau, opts)
+	set, err := fd.NewSet([]*fd.FD{c.Embedded}, tau)
+	if err != nil {
+		return nil, err
 	}
+	sub, rows := c.Restrict(rel)
+	res, err := repair.Run(sub, set, cfg, algo, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,10 @@ import (
 	"strings"
 
 	"ftrepair"
+	"ftrepair/internal/fd"
 	"ftrepair/internal/obs"
+	"ftrepair/internal/profile"
+	"ftrepair/internal/repair"
 	"ftrepair/internal/report"
 )
 
@@ -60,10 +63,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer, cancel <-chan
 		out       = fs.String("out", "-", "output CSV path ('-' for stdout)")
 		types     = fs.String("types", "", "comma-separated attribute types aligned with the header (string|numeric); default inferred")
 		algo      = fs.String("algo", "greedym", "repair algorithm: exacts, greedys, exactm, approm, greedym")
-		tau       = fs.Float64("tau", 0.3, "FT-violation threshold for every FD")
+		tau       = fs.Float64("tau", fd.RunTau, "FT-violation threshold for every FD")
 		autoTau   = fs.Bool("auto-tau", false, "derive tau per FD with the sudden-gap heuristic")
-		wl        = fs.Float64("wl", 0.7, "LHS distance weight")
-		wr        = fs.Float64("wr", 0.3, "RHS distance weight")
+		wl        = fs.Float64("wl", fd.RunWL, "LHS distance weight")
+		wr        = fs.Float64("wr", fd.RunWR, "RHS distance weight")
 		quiet     = fs.Bool("q", false, "suppress the summary on stderr")
 		detect    = fs.Bool("detect", false, "only detect and print FT-violations; no repair")
 		discover  = fs.Bool("discover", false, "profile the input for approximate FDs and exit (no -fd needed)")
@@ -176,16 +179,7 @@ func (c *command) load() (*ftrepair.Relation, error) {
 		defer f.Close()
 		reader = f
 	}
-	rel, err := ftrepair.ReadCSV(reader, c.types)
-	if err != nil {
-		return nil, err
-	}
-	if c.types == "" {
-		// No type spec: infer numeric columns from the data (fixed-width
-		// digit identifiers stay strings).
-		rel = ftrepair.Retype(rel)
-	}
-	return rel, nil
+	return profile.Load(profile.Source{CSV: reader, Types: c.types})
 }
 
 func (c *command) runDiscover() error {
@@ -219,51 +213,16 @@ func (c *command) run() error {
 	if c.in == "" {
 		return fmt.Errorf("-in is required")
 	}
-	if len(c.fdSpecs) == 0 {
-		return fmt.Errorf("at least one -fd is required")
-	}
-	var algo ftrepair.Algorithm
-	switch strings.ToLower(c.algoName) {
-	case "exacts":
-		algo = ftrepair.ExactS
-	case "greedys":
-		algo = ftrepair.GreedyS
-	case "exactm":
-		algo = ftrepair.ExactM
-	case "approm":
-		algo = ftrepair.ApproM
-	case "greedym":
-		algo = ftrepair.GreedyM
-	default:
-		return fmt.Errorf("unknown algorithm %q", c.algoName)
-	}
-
 	rel, err := c.load()
 	if err != nil {
 		return err
 	}
-	parsed := make([]*ftrepair.FD, len(c.fdSpecs))
-	for i, spec := range c.fdSpecs {
-		f, err := ftrepair.ParseFD(rel.Schema, spec)
-		if err != nil {
-			return err
-		}
-		parsed[i] = f
-	}
-	cfg, err := ftrepair.NewDistConfig(rel, c.wl, c.wr)
+	set, cfg, err := fd.Compile(rel, c.fdSpecs, c.tau, c.autoTau, c.wl, c.wr)
 	if err != nil {
 		return err
 	}
-	taus := make([]float64, len(parsed))
-	for i, f := range parsed {
-		if c.autoTau {
-			taus[i] = ftrepair.SelectTau(rel, f, cfg, ftrepair.TauOptions{Fallback: c.tau})
-		} else {
-			taus[i] = c.tau
-		}
-	}
-	set, err := ftrepair.NewSet(parsed, taus...)
-	if err != nil {
+	algo := repair.ParseAlgorithm(c.algoName)
+	if err := algo.Check(set); err != nil {
 		return err
 	}
 
@@ -318,8 +277,8 @@ func (c *command) run() error {
 	} else if !c.quiet {
 		fmt.Fprintf(c.stderr, "%s repaired %d cells across %d tuples (cost %.3f) in %v\n",
 			res.Algorithm, len(res.Changed), rel.Len(), res.Cost, res.Elapsed)
-		for i, f := range parsed {
-			fmt.Fprintf(c.stderr, "  %s  tau=%.3f\n", f, taus[i])
+		for i, f := range set.FDs {
+			fmt.Fprintf(c.stderr, "  %s  tau=%.3f\n", f, set.Tau[i])
 		}
 	}
 	if !c.quiet {

@@ -41,15 +41,7 @@ func ReadCSVOpts(r io.Reader, typeSpec string, opts CSVOptions) (*Relation, erro
 	if err != nil {
 		return nil, fmt.Errorf("dataset: reading CSV header: %w", err)
 	}
-	types, err := parseTypeSpec(typeSpec, len(header))
-	if err != nil {
-		return nil, err
-	}
-	attrs := make([]Attribute, len(header))
-	for i, name := range header {
-		attrs[i] = Attribute{Name: strings.TrimSpace(name), Type: types[i]}
-	}
-	schema, err := NewSchema(attrs...)
+	schema, err := HeaderSchema(header, typeSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -77,26 +69,43 @@ func ReadCSVOpts(r io.Reader, typeSpec string, opts CSVOptions) (*Relation, erro
 	return rel, nil
 }
 
-func parseTypeSpec(spec string, n int) ([]Type, error) {
-	types := make([]Type, n)
-	if spec == "" {
-		return types, nil
+// HeaderSchema builds the schema of a header row: attribute names are
+// trimmed of surrounding space, and typeSpec is a comma-separated list of
+// types aligned with the header such as "string,string,numeric" (aliases
+// str/s and num/n/number/float/int; an empty spec or entry means string). Every
+// relation loaded from a header, as CSV or as header plus rows, is typed
+// here.
+func HeaderSchema(header []string, typeSpec string) (*Schema, error) {
+	attrs := make([]Attribute, len(header))
+	for i, name := range header {
+		attrs[i] = Attribute{Name: strings.TrimSpace(name), Type: String}
 	}
-	parts := strings.Split(spec, ",")
-	if len(parts) != n {
-		return nil, fmt.Errorf("dataset: type spec has %d entries, header has %d columns", len(parts), n)
-	}
-	for i, p := range parts {
-		switch strings.TrimSpace(strings.ToLower(p)) {
-		case "string", "str", "s", "":
-			types[i] = String
-		case "numeric", "num", "n", "float", "int":
-			types[i] = Numeric
-		default:
-			return nil, fmt.Errorf("dataset: unknown type %q in type spec", p)
+	if typeSpec != "" {
+		parts := strings.Split(typeSpec, ",")
+		if len(parts) != len(header) {
+			return nil, fmt.Errorf("dataset: type spec has %d entries, header has %d columns", len(parts), len(header))
+		}
+		for i, p := range parts {
+			switch strings.TrimSpace(strings.ToLower(p)) {
+			case "string", "str", "s", "":
+			case "numeric", "num", "n", "number", "float", "int":
+				attrs[i].Type = Numeric
+			default:
+				return nil, fmt.Errorf("dataset: unknown type %q in type spec", p)
+			}
 		}
 	}
-	return types, nil
+	return NewSchema(attrs...)
+}
+
+// FromHeader builds a relation from a header, rows and a type spec: the
+// inline twin of ReadCSV, typed by the same HeaderSchema.
+func FromHeader(header []string, rows [][]string, typeSpec string) (*Relation, error) {
+	schema, err := HeaderSchema(header, typeSpec)
+	if err != nil {
+		return nil, err
+	}
+	return FromRows(schema, rows)
 }
 
 // WriteCSV writes the relation as CSV with a header row.

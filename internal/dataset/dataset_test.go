@@ -238,13 +238,20 @@ func TestCSVErrors(t *testing.T) {
 }
 
 func TestParseTypeSpecAliases(t *testing.T) {
-	types, err := parseTypeSpec("s,STR,n,Float", 4)
+	schema, err := HeaderSchema([]string{"A", " B", "C ", "D", "E", "F"}, "s,STR,n,Float, int,number")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Type{String, String, Numeric, Numeric}
+	var types []Type
+	for i := 0; i < schema.Len(); i++ {
+		types = append(types, schema.Attr(i).Type)
+	}
+	want := []Type{String, String, Numeric, Numeric, Numeric, Numeric}
 	if !reflect.DeepEqual(types, want) {
-		t.Fatalf("parseTypeSpec = %v", types)
+		t.Fatalf("HeaderSchema types = %v", types)
+	}
+	if got := schema.Names(); !reflect.DeepEqual(got, []string{"A", "B", "C", "D", "E", "F"}) {
+		t.Fatalf("HeaderSchema names = %q", got)
 	}
 }
 

@@ -78,14 +78,12 @@ func Evaluate(clean, dirty, repaired *dataset.Relation, opts Options) (Quality, 
 	return q, nil
 }
 
-// Benchmark configuration: w_l = 0.7, w_r = 0.3, tau = 0.3 = w_r * |Y|.
-// At this setting every classic FD violation is also an FT-violation
-// (Theorem 1 boundary), single-character typos sit far below the threshold,
-// and the generators keep legitimate key values separated above it.
+// Benchmark configuration: the run defaults of the CLI and repaird (see
+// fd.RunWL).
 const (
-	BenchWL  = 0.7
-	BenchWR  = 0.3
-	BenchTau = 0.3
+	BenchWL  = fd.RunWL
+	BenchWR  = fd.RunWR
+	BenchTau = fd.RunTau
 )
 
 // Instance is a prepared benchmark instance.

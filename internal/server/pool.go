@@ -92,7 +92,7 @@ type jobRunOutcome struct {
 // metrics. Cancellation while queued is honored by markRunning.
 func (s *Server) execJob(j *Job) {
 	if !j.markRunning() {
-		s.metrics.jobFinished(JobCanceled, j.prob.algo, 0, 0)
+		s.metrics.jobFinished(JobCanceled, string(j.prob.algo), 0, 0)
 		return
 	}
 	var cancel <-chan struct{} = j.cancelCh
@@ -119,7 +119,7 @@ func (s *Server) execJob(j *Job) {
 		s.verifyIfRequested(j, jr, res)
 		j.attachLedger(led, res.Repaired)
 		j.complete(JobDone, jr, "")
-		s.metrics.jobFinished(JobDone, j.prob.algo, elapsed, len(res.Changed))
+		s.metrics.jobFinished(JobDone, string(j.prob.algo), elapsed, len(res.Changed))
 		s.metrics.addDistCache(res.Stats)
 	case errors.Is(err, repair.ErrCanceled):
 		var jr *JobResult
@@ -132,10 +132,10 @@ func (s *Server) execJob(j *Job) {
 			j.attachLedger(led, res.Repaired)
 		}
 		j.complete(JobCanceled, jr, err.Error())
-		s.metrics.jobFinished(JobCanceled, j.prob.algo, elapsed, changed)
+		s.metrics.jobFinished(JobCanceled, string(j.prob.algo), elapsed, changed)
 	default:
 		j.complete(JobFailed, nil, err.Error())
-		s.metrics.jobFinished(JobFailed, j.prob.algo, elapsed, 0)
+		s.metrics.jobFinished(JobFailed, string(j.prob.algo), elapsed, 0)
 	}
 }
 

@@ -16,7 +16,10 @@
 //     snapshot), opt-in /debug/pprof/*, structured request logging with
 //     request ids, and graceful shutdown with in-flight job draining.
 //
-// Everything is stdlib-only (net/http, encoding/json, log/slog).
+// Job and session specs compile through the same typing (profile.Load),
+// constraint (fd.Compile) and algorithm (repair.ParseAlgorithm) functions
+// as the ftrepair CLI. Everything is stdlib-only (net/http, encoding/json,
+// log/slog).
 package server
 
 import (

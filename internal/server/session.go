@@ -193,29 +193,22 @@ func newSessionRegistry() *sessionRegistry {
 // initial flush repairs the base relation when it is not already
 // FT-consistent.
 func (r *sessionRegistry) create(spec SessionSpec) (*session, error) {
-	algo, err := canonicalAlgo(spec.Algorithm)
+	p, err := compileRun(spec.CSV, spec.Header, spec.Rows, spec.Types,
+		spec.FDs, spec.Tau, spec.AutoTau, spec.WL, spec.WR, spec.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := loadRelation(spec.CSV, spec.Header, spec.Rows, spec.Types)
-	if err != nil {
-		return nil, err
-	}
-	set, cfg, err := compileConstraints(rel, spec.FDs, spec.Tau, spec.AutoTau, spec.WL, spec.WR)
-	if err != nil {
-		return nil, err
-	}
-	eng, initRes, err := incr.NewEngine(rel, set, cfg, incr.Options{Algorithm: algo})
+	eng, initRes, err := incr.NewEngine(p.rel, p.set, p.cfg, incr.Options{Algorithm: string(p.algo)})
 	if err != nil {
 		return nil, err
 	}
 	baseAlgo := ""
 	if initRes.ChangedCells > 0 {
-		baseAlgo = algo
+		baseAlgo = string(p.algo)
 	}
 	s := &session{
 		created: time.Now(),
-		eng:     eng, set: set, cfg: cfg,
+		eng:     eng, set: p.set, cfg: p.cfg,
 		baseRepaired: initRes.ChangedCells,
 		baseAlgo:     baseAlgo,
 	}

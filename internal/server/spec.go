@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"strings"
 
 	"ftrepair/internal/dataset"
@@ -54,7 +53,8 @@ type JobSpec struct {
 
 // SessionSpec is the JSON body of POST /v1/sessions. The base relation is
 // repaired with Algorithm first when it is not already FT-consistent, so the
-// session always starts from a consistent state.
+// session always starts from a consistent state. The fields up to Algorithm
+// mean what JobSpec's do and compile through the same compileRun.
 type SessionSpec struct {
 	CSV       string     `json:"csv,omitempty"`
 	Header    []string   `json:"header,omitempty"`
@@ -75,166 +75,60 @@ type SessionSpec struct {
 	MaxPending int `json:"maxPending,omitempty"`
 }
 
-// problem is a compiled job: the parsed relation, constraint set and
-// distance model, ready to run.
+// problem is a compiled run: the parsed relation, constraint set, distance
+// model and checked algorithm, ready to run.
 type problem struct {
 	rel  *dataset.Relation
 	set  *fd.Set
 	cfg  *fd.DistConfig
-	algo string
+	algo repair.Algorithm
 	opts repair.Options
 }
 
-// Default repair configuration, matching the ftrepair CLI flags.
-const (
-	defaultTau = 0.3
-	defaultWL  = 0.7
-	defaultWR  = 0.3
-)
-
-// canonicalAlgo normalizes an algorithm name, defaulting to GreedyM.
-func canonicalAlgo(name string) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "greedym":
-		return "GreedyM", nil
-	case "exacts":
-		return "ExactS", nil
-	case "greedys":
-		return "GreedyS", nil
-	case "exactm":
-		return "ExactM", nil
-	case "approm":
-		return "ApproM", nil
-	default:
-		return "", fmt.Errorf("unknown algorithm %q", name)
+// compileRun compiles the run fields that jobs and sessions share: it
+// loads the relation, compiles the constraints with the run defaults for
+// zero values, and checks the algorithm against them.
+func compileRun(csv string, header []string, rows [][]string, types string,
+	fds []string, tau float64, autoTau bool, wl, wr float64, algorithm string) (*problem, error) {
+	src := profile.Source{Header: header, Rows: rows, Types: types}
+	if csv != "" {
+		src.CSV = strings.NewReader(csv)
 	}
-}
-
-// buildSchema assembles a schema from a header and an optional type spec.
-func buildSchema(header []string, types string) (*dataset.Schema, error) {
-	attrs := make([]dataset.Attribute, len(header))
-	for i, name := range header {
-		attrs[i] = dataset.Attribute{Name: name, Type: dataset.String}
-	}
-	if types != "" {
-		parts := strings.Split(types, ",")
-		if len(parts) != len(header) {
-			return nil, fmt.Errorf("types lists %d entries, header has %d", len(parts), len(header))
-		}
-		for i, p := range parts {
-			switch strings.ToLower(strings.TrimSpace(p)) {
-			case "", "string", "s", "str":
-				attrs[i].Type = dataset.String
-			case "numeric", "n", "num", "number", "float":
-				attrs[i].Type = dataset.Numeric
-			default:
-				return nil, fmt.Errorf("unknown attribute type %q", p)
-			}
-		}
-	}
-	return dataset.NewSchema(attrs...)
-}
-
-// loadRelation parses the data half of a spec: CSV text or header+rows.
-func loadRelation(csv string, header []string, rows [][]string, types string) (*dataset.Relation, error) {
-	switch {
-	case csv != "" && len(rows) > 0:
-		return nil, fmt.Errorf("provide either csv or rows, not both")
-	case csv != "":
-		rel, err := dataset.ReadCSV(strings.NewReader(csv), types)
-		if err != nil {
-			return nil, err
-		}
-		if types == "" {
-			rel = profile.Retype(rel)
-		}
-		return rel, nil
-	case len(rows) > 0:
-		if len(header) == 0 {
-			return nil, fmt.Errorf("rows requires a header")
-		}
-		schema, err := buildSchema(header, types)
-		if err != nil {
-			return nil, err
-		}
-		rel, err := dataset.FromRows(schema, rows)
-		if err != nil {
-			return nil, err
-		}
-		if types == "" {
-			rel = profile.Retype(rel)
-		}
-		return rel, nil
-	default:
-		return nil, fmt.Errorf("no input data: provide csv or header+rows")
-	}
-}
-
-// compileConstraints parses FD specs and derives the distance model and
-// per-FD thresholds over rel.
-func compileConstraints(rel *dataset.Relation, fdSpecs []string, tau float64, autoTau bool, wl, wr float64) (*fd.Set, *fd.DistConfig, error) {
-	if len(fdSpecs) == 0 {
-		return nil, nil, fmt.Errorf("at least one FD is required")
-	}
-	parsed := make([]*fd.FD, len(fdSpecs))
-	for i, spec := range fdSpecs {
-		f, err := fd.Parse(rel.Schema, spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		parsed[i] = f
-	}
-	if fd.FloatEq(wl, 0) && fd.FloatEq(wr, 0) {
-		wl, wr = defaultWL, defaultWR
-	}
-	cfg, err := fd.NewDistConfig(rel, wl, wr)
+	rel, err := profile.Load(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if fd.FloatEq(tau, 0) {
-		tau = defaultTau
+		tau = fd.RunTau
 	}
-	taus := make([]float64, len(parsed))
-	for i, f := range parsed {
-		if autoTau {
-			taus[i] = fd.SelectTau(rel, f, cfg, fd.TauOptions{Fallback: tau})
-		} else {
-			taus[i] = tau
-		}
+	if fd.FloatEq(wl, 0) && fd.FloatEq(wr, 0) {
+		wl, wr = fd.RunWL, fd.RunWR
 	}
-	set, err := fd.NewSet(parsed, taus...)
+	set, cfg, err := fd.Compile(rel, fds, tau, autoTau, wl, wr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return set, cfg, nil
+	algo := repair.ParseAlgorithm(algorithm)
+	if err := algo.Check(set); err != nil {
+		return nil, err
+	}
+	return &problem{rel: rel, set: set, cfg: cfg, algo: algo}, nil
 }
 
 // compile validates a job spec into a runnable problem.
 func (spec *JobSpec) compile() (*problem, error) {
-	algo, err := canonicalAlgo(spec.Algorithm)
+	p, err := compileRun(spec.CSV, spec.Header, spec.Rows, spec.Types,
+		spec.FDs, spec.Tau, spec.AutoTau, spec.WL, spec.WR, spec.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	rel, err := loadRelation(spec.CSV, spec.Header, spec.Rows, spec.Types)
-	if err != nil {
-		return nil, err
+	p.opts = repair.Options{
+		MaxNodes:       spec.MaxNodes,
+		MaxMISPerFD:    spec.MaxMISPerFD,
+		Parallel:       spec.Parallel,
+		DisablePruning: spec.DisablePruning,
 	}
-	set, cfg, err := compileConstraints(rel, spec.FDs, spec.Tau, spec.AutoTau, spec.WL, spec.WR)
-	if err != nil {
-		return nil, err
-	}
-	if (algo == "ExactS" || algo == "GreedyS") && len(set.FDs) != 1 {
-		return nil, fmt.Errorf("%s repairs a single FD, spec has %d", algo, len(set.FDs))
-	}
-	return &problem{
-		rel: rel, set: set, cfg: cfg, algo: algo,
-		opts: repair.Options{
-			MaxNodes:       spec.MaxNodes,
-			MaxMISPerFD:    spec.MaxMISPerFD,
-			Parallel:       spec.Parallel,
-			DisablePruning: spec.DisablePruning,
-		},
-	}, nil
+	return p, nil
 }
 
 // run executes the compiled problem with the given cancellation channel, an
@@ -245,16 +139,5 @@ func (p *problem) run(cancel <-chan struct{}, tr *obs.Trace, sink ledger.Sink) (
 	opts.Cancel = cancel
 	opts.Trace = tr
 	opts.Ledger = sink
-	switch p.algo {
-	case "ExactS":
-		return repair.ExactS(p.rel, p.set.FDs[0], p.cfg, p.set.Tau[0], opts)
-	case "GreedyS":
-		return repair.GreedyS(p.rel, p.set.FDs[0], p.cfg, p.set.Tau[0], opts)
-	case "ExactM":
-		return repair.ExactM(p.rel, p.set, p.cfg, opts)
-	case "ApproM":
-		return repair.ApproM(p.rel, p.set, p.cfg, opts)
-	default:
-		return repair.GreedyM(p.rel, p.set, p.cfg, opts)
-	}
+	return repair.Run(p.rel, p.set, p.cfg, p.algo, opts)
 }
