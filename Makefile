@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build lint lint-json lint-sarif test short bench bench-json bench-repair bench-incremental bench-distance bench-check alloc-smoke experiments fuzz cover examples serve
+.PHONY: all build lint lint-json lint-sarif test short bench bench-check alloc-smoke experiments fuzz cover examples serve
 
 all: build lint test
 
@@ -28,42 +28,22 @@ test:
 short:
 	go test -short ./...
 
+# Every benchmark, the layer families included: graph construction
+# (./internal/vgraph), distance kernels and cache hits (./internal/strsim,
+# ./internal/fd), target search (./internal/targettree), the repair phase
+# (./internal/repair) and incremental ingest (./internal/incr). Narrow it
+# with e.g. go test -run '^$$' -bench GreedyGrowth -benchmem ./internal/repair/
 bench:
 	go test -bench=. -benchmem ./...
 
-# Runs the vgraph/detect construction-phase benchmark family and writes
-# BENCH_vgraph.json (ns/op, edges/s, cache hit rate, speedups), then the
-# repair-phase family into BENCH_repair.json.
-bench-json:
-	go run ./cmd/repairbench -exp graphbench -benchout BENCH_vgraph.json
-	$(MAKE) bench-repair
-
-# Runs the repair-phase benchmark family (greedy growth naive vs heap,
-# exact branch-and-bound combination throughput, plan evaluation) and
-# writes BENCH_repair.json.
-bench-repair:
-	go run ./cmd/repairbench -exp repairbench -benchout BENCH_repair.json
-
-# Replays a timed ingest stream against the sharded incremental engine and
-# against monolithic per-batch recomputation, and writes
-# BENCH_incremental.json (per-batch latency, shard telemetry, ratios).
-bench-incremental:
-	go run ./cmd/repairbench -exp incrbench -benchout BENCH_incremental.json
-
-# Times the string-distance hot paths (bit-parallel kernels vs the retained
-# DPs, one-vs-many Matcher streams, distance-plane vs map cache hits) and
-# writes BENCH_strsim.json.
-bench-distance:
-	go run ./cmd/repairbench -exp distbench -benchout BENCH_strsim.json
-
-# Re-measures the committed BENCH_*.json benchmark families into fresh files
-# and fails when any shared entry regressed by more than 25% ns/op.
+# Same-runner A/B gate over the layer families: builds the base commit's
+# and the working tree's test binaries, runs them interleaved (5 rounds,
+# package by package, alternating sides) and fails when any shared entry's
+# median ns/op regressed by more than 25% (entries under 100 ns/op
+# skipped), or when the two sides share no entry. Raw outputs stay in
+# .bench_ab/.
 bench-check:
-	go run ./cmd/repairbench -exp graphbench -benchout BENCH_vgraph.ci.json
-	go run ./cmd/repairbench -exp distbench -benchout BENCH_strsim.ci.json
-	go run ./cmd/benchcheck -threshold 1.25 \
-		BENCH_vgraph.json=BENCH_vgraph.ci.json \
-		BENCH_strsim.json=BENCH_strsim.ci.json
+	sh cmd/benchcheck/ab.sh
 
 # Alloc-regression smoke: the gate tests assert steady-state greedy rounds
 # perform zero heap allocations (pooled grower + caller-owned buffer) and
@@ -75,7 +55,7 @@ alloc-smoke:
 	go test -run 'TestNearestSteadyStateAllocs' ./internal/targettree/
 	go test -run '^$$' -bench 'BenchmarkGreedyGrowth' -benchtime=1x -benchmem ./internal/repair/
 	go test -run '^$$' -bench 'BenchmarkNearest$$' -benchtime=1x -benchmem ./internal/targettree/
-	go test -run '^$$' -bench 'BenchmarkGraphBuildWorkers' -benchtime=1x -benchmem .
+	go test -run '^$$' -bench 'BenchmarkGraphBuildWorkers' -benchtime=1x -benchmem ./internal/vgraph/
 
 experiments:
 	go run ./cmd/repairbench -exp all -scale 0.2

@@ -449,35 +449,6 @@ func BenchmarkGraphBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphBuildWorkers sweeps the construction worker pool and the
-// distance cache on the all-pairs path (the parallel build's worst case).
-func BenchmarkGraphBuildWorkers(b *testing.B) {
-	inst := instance(b, eval.Setup{Workload: "hosp", N: 3200, FDs: 1, ErrorRate: 0.04, Seed: 7})
-	f, tau := inst.Set.FDs[0], inst.Set.Tau[0]
-	for _, v := range []struct {
-		name    string
-		workers int
-		cache   bool
-	}{
-		{"w1/nocache", 1, false},
-		{"w1/cache", 1, true},
-		{"wmax/cache", 0, true}, // 0 = GOMAXPROCS
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			cfg := *inst.Cfg
-			if v.cache {
-				cfg.Cache = fd.NewDistCache()
-			} else {
-				cfg.Cache = nil
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				vgraph.Build(inst.Dirty, f, &cfg, tau, vgraph.Options{DisableIndex: true, Workers: v.workers})
-			}
-		})
-	}
-}
-
 // --- Extension benchmarks -------------------------------------------------
 
 // BenchmarkIncremental measures per-tuple cost of append-time repair

@@ -42,6 +42,22 @@ func TestRunUnknown(t *testing.T) {
 	}
 }
 
+// TestRunRejectsEmptyWorkloads: an empty -workloads list used to panic
+// (ablation indexes Workloads[0]) or print a bare header and exit 0
+// (detection); every experiment now refuses it with an error.
+func TestRunRejectsEmptyWorkloads(t *testing.T) {
+	c := tinyConfig()
+	c.Workloads = nil
+	for _, name := range []string{"ablation", "detection", "fig5", "table3"} {
+		var sb strings.Builder
+		if err := experiments.Run(name, c, &sb); err == nil {
+			t.Errorf("%s: empty workload list accepted; output:\n%s", name, sb.String())
+		} else if !strings.Contains(err.Error(), "no workloads") {
+			t.Errorf("%s: error %q does not name the missing workloads", name, err)
+		}
+	}
+}
+
 func TestEveryExperimentRunsAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in -short mode")

@@ -10,8 +10,8 @@ import (
 
 // StreamConfig describes a timed ingest workload: a base relation a session
 // starts from, plus a sequence of arrival batches drawn from the same
-// generator and dirtied at the same rate — the shape the incremental engine
-// and the incrbench experiment replay.
+// generator and dirtied at the same rate — the shape the incremental engine,
+// repaird sessions and the incr package's BenchmarkIngest replay.
 type StreamConfig struct {
 	// Workload is "hosp" or "tax".
 	Workload string

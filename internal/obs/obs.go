@@ -66,8 +66,9 @@ func Phases() []Phase {
 		PhaseShardSelect, PhaseIncRepair}
 }
 
-// RunMeta is the run metadata embedded in trace headers and BENCH_*.json
-// documents, so measurements stay interpretable after the fact.
+// RunMeta is the run metadata embedded in trace headers and logged by the
+// end-to-end benchmark (perfbench), so measurements stay interpretable
+// after the fact.
 type RunMeta struct {
 	GoVersion  string `json:"goVersion"`
 	GOMAXPROCS int    `json:"gomaxprocs"`

@@ -17,8 +17,9 @@ import (
 // live entry per candidate, version stamps invalidate entries whose vertex
 // was rescored, and each round pops near the minimum instead of rescanning.
 //
-// The invariant is bit-identical output with the retained naive
-// implementations (greedySetNaive, jointGreedySetsNaive) on any input:
+// The invariant is bit-identical output with the naive reference
+// implementations (greedySetNaive, jointGreedySetsNaive in naive_test.go)
+// on any input:
 //
 //   - Scores are computed by the same functions in the same summation
 //     order, so cached heap scores are the exact floats the naive rescan
@@ -158,10 +159,20 @@ func (h *scoreHeap) popClosure(live func(scoreEntry) bool) []scoreEntry {
 }
 
 // greedyScorer holds the shared growth state of Algorithm 2: the chosen
-// set, the blocked frontier, and the normalized Eq 7/8 cost model (see the
-// greedySetNaive comment for the normalization rationale). Both the naive
-// rescan and the heap path drive the same scorer, so their scores are
-// bitwise equal by construction.
+// set, the blocked frontier, and the normalized Eq 7/8 cost model. Both the
+// naive rescan (greedySetNaive, naive_test.go) and the heap path drive the
+// same scorer, so their scores are bitwise equal by construction.
+//
+// Selection uses a normalized form of Eq. 7/8: a candidate is charged, per
+// neighbor it dooms, only the cost *above* that neighbor's unavoidable
+// minimum repair (its cheapest edge — paid in any maximal set excluding
+// it), and is credited its own avoided repair cost. The literal Eq. 8 is
+// myopic on two common shapes: a one-tuple typo pattern dooms its
+// high-multiplicity source cheaply and gets picked first (flipping every
+// legitimate tuple to the typo spelling), and a legitimate pattern
+// surrounded by error patterns is charged their full — but inevitable —
+// repair cost. The normalized score keeps the paper's complexity and
+// resolves both.
 type greedyScorer struct {
 	g *vgraph.Graph
 	// minOmega[v]: v's cheapest outgoing edge — the floor of its repair
@@ -175,12 +186,6 @@ type greedyScorer struct {
 	// repairCost[v]: current min_{u∈Î∩N(v)} ω(v,u) for blocked v.
 	repairCost []float64
 	set        []int
-}
-
-func newGreedyScorer(g *vgraph.Graph) *greedyScorer {
-	s := &greedyScorer{}
-	s.reset(g)
-	return s
 }
 
 // reset re-initializes the scorer over g, reusing every slice whose
@@ -475,52 +480,4 @@ func growInto(g *vgraph.Graph, cancel <-chan struct{}, dst []int) []int {
 	gr.s.g = nil
 	greedyGrowerPool.Put(gr)
 	return dst
-}
-
-// greedySetNaive is the retained reference implementation of Algorithm 2:
-// every round rescans every unchosen, unblocked candidate. O(V²·deg)
-// growth — the heap path exists because of it — but trivially correct, so
-// it anchors the equivalence tests and the repairbench speedup series.
-//
-// Selection uses a normalized form of Eq. 7/8: a candidate is charged, per
-// neighbor it dooms, only the cost *above* that neighbor's unavoidable
-// minimum repair (its cheapest edge — paid in any maximal set excluding
-// it), and is credited its own avoided repair cost. The literal Eq. 8 is
-// myopic on two common shapes: a one-tuple typo pattern dooms its
-// high-multiplicity source cheaply and gets picked first (flipping every
-// legitimate tuple to the typo spelling), and a legitimate pattern
-// surrounded by error patterns is charged their full — but inevitable —
-// repair cost. The normalized score keeps the paper's complexity and
-// resolves both.
-func greedySetNaive(g *vgraph.Graph, cancel <-chan struct{}) []int {
-	if canceled(cancel) {
-		return nil
-	}
-	n := len(g.Vertices)
-	if n == 0 {
-		return nil
-	}
-	s := newGreedyScorer(g)
-	for {
-		if greedyStepHook != nil {
-			greedyStepHook(len(s.set))
-		}
-		if canceled(cancel) {
-			return s.set
-		}
-		best, bestCost := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !s.valid(v) {
-				continue
-			}
-			if c := s.score(v); s.better(c, v, bestCost, best) {
-				best, bestCost = v, c
-			}
-		}
-		if best < 0 {
-			break
-		}
-		s.add(best)
-	}
-	return s.set
 }

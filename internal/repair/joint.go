@@ -16,7 +16,7 @@ var jointTraceHook func(fdIndex, vertex int, cost float64)
 // jointState is the shared growth state of Algorithm 4 (§4.4): one
 // independent set per FD growing interleaved, plus the Eq-12 cost model
 // with its cross-FD synchronization term. The naive rescan
-// (jointGreedySetsNaive) and the heap path (jointGreedySets) drive the
+// (jointGreedySetsNaive, naive_test.go) and the heap path (jointGreedySets) drive the
 // same state, so their candidate scores are bitwise equal by construction.
 type jointState struct {
 	rel    *dataset.Relation
@@ -355,54 +355,6 @@ func jointGreedySets(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-cha
 		}
 		round++
 		js.add(bestI, bestV, rescore)
-	}
-	return js.sets
-}
-
-// jointGreedySetsNaive is the retained reference implementation of the
-// joint greedy growth: every round rescans every unchosen candidate of
-// every FD, caching Eq-12 costs and recomputing only those within three
-// hops of the previous addition. It anchors the heap path's equivalence
-// tests and the repairbench speedup series.
-func jointGreedySetsNaive(rel *dataset.Relation, graphs []*vgraph.Graph, cancel <-chan struct{}) [][]int {
-	js := newJointState(rel, graphs)
-	cost := make([][]float64, len(graphs))
-	dirty := make([][]bool, len(graphs))
-	for i, g := range graphs {
-		cost[i] = make([]float64, len(g.Vertices))
-		dirty[i] = make([]bool, len(g.Vertices))
-		for v := range dirty[i] {
-			dirty[i][v] = true
-		}
-	}
-	mark := func(fdIdx, u int) { dirty[fdIdx][u] = true }
-	for {
-		if greedyStepHook != nil {
-			greedyStepHook(js.added)
-		}
-		if canceled(cancel) {
-			break
-		}
-		bestI, bestV := -1, -1
-		bestCost := math.Inf(1)
-		for i := range graphs {
-			for v := range graphs[i].Vertices {
-				if !js.valid(i, v) {
-					continue
-				}
-				if dirty[i][v] {
-					cost[i][v] = js.tupleCost(i, v)
-					dirty[i][v] = false
-				}
-				if js.takeOver(cost[i][v], i, v, bestCost, bestI, bestV) {
-					bestI, bestV, bestCost = i, v, cost[i][v]
-				}
-			}
-		}
-		if bestI < 0 {
-			break
-		}
-		js.add(bestI, bestV, mark)
 	}
 	return js.sets
 }

@@ -410,6 +410,6 @@ func applyInPlace(out *dataset.Relation, g *vgraph.Graph, target map[int]int, cf
 	}
 }
 
-// The joint greedy growth (jointGreedySets and its retained naive
-// reference jointGreedySetsNaive) lives in joint.go alongside the shared
-// jointState cost model.
+// The joint greedy growth (jointGreedySets) lives in joint.go alongside the
+// shared jointState cost model; its naive reference jointGreedySetsNaive is
+// in naive_test.go.

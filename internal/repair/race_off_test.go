@@ -1,6 +1,6 @@
 //go:build !race
 
-package repair_test
+package repair
 
 // raceEnabled reports whether the race detector instruments this build.
 const raceEnabled = false

@@ -115,6 +115,6 @@ func GreedyS(rel *dataset.Relation, f *fd.FD, cfg *fd.DistConfig, tau float64, o
 	return res, err
 }
 
-// The greedy growth loop itself (greedySet and its retained naive
-// reference greedySetNaive) lives in greedyheap.go alongside the indexed
-// min-heap that makes it fast.
+// The greedy growth loop itself (greedySet) lives in greedyheap.go
+// alongside the indexed min-heap that makes it fast; its naive reference
+// greedySetNaive is in naive_test.go.

@@ -19,8 +19,8 @@ package strsim
 // Every kernel takes a maxDist bound and applies the same early exit: after
 // the j-th text character the final score can still drop by at most one per
 // remaining character, so score - remaining > maxDist proves rejection. The
-// unbounded entry points pass an unreachable bound. The retained dynamic
-// programs (LevenshteinDP, LevenshteinBoundedDP) are the equivalence
+// unbounded entry points pass an unreachable bound. The dynamic programs
+// in oracle_test.go (LevenshteinDP, LevenshteinBoundedDP) are the equivalence
 // oracles; the fuzz targets in fuzz_test.go hold the kernels to exact parity
 // with them, distances and ok-flags both.
 
